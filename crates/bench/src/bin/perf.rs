@@ -325,11 +325,8 @@ fn run_scenario(apps: u64, segment_ms: u64, args: &ExperimentArgs) -> Scenario {
     }
     let model = model.expect("REPS >= 1");
 
-    // End to end: the adaptive pipeline into a fresh session. Feeding is
-    // deliberately by reference — the owned path re-sorts the segment and
-    // pays per-event `Arc` refcount churn when the moved events drop, and
-    // measures slower; by-ref with `Arc<str>` payloads is already
-    // clone-free.
+    // End to end: the adaptive pipeline into a fresh session. Feeding by
+    // reference is clone-free: topic payloads are shared `Arc<str>`s.
     let mut e2e_secs = f64::INFINITY;
     for _ in 0..REPS {
         let mut w = world(apps, args.seed());

@@ -27,9 +27,8 @@ use crate::cblist::{CallbackRecord, CbList};
 use crate::dag::Dag;
 use crate::stats::ExecStats;
 use rtms_trace::{
-    CallbackId, CallbackKind, MergedEvents, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload,
-    SchedEvent, SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace,
-    TraceSegment,
+    CallbackId, CallbackKind, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload, SchedEvent,
+    SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
 };
 use rtms_util::FxHashMap;
 use std::collections::{HashMap, VecDeque};
@@ -43,6 +42,11 @@ use std::sync::Arc;
 /// end is unknown while streaming, so the clock snapshots its state before
 /// the first event at the newest timestamp; if the instance then ends at
 /// exactly that timestamp, the snapshot rolls those events back.
+///
+/// Stretches are measured with saturating subtraction: a switch-out or an
+/// end stamped earlier than the switch-in it closes (an out-of-order event
+/// in a later segment, or in a replayed file) contributes zero instead of
+/// wrapping.
 #[derive(Debug, Clone)]
 struct ExecClock {
     start: Nanos,
@@ -75,7 +79,7 @@ impl ExecClock {
         }
         if prev == pid {
             if self.running {
-                self.exec += time - self.last_start;
+                self.exec += time.saturating_sub(self.last_start);
                 self.running = false;
             }
         } else if next == pid {
@@ -95,7 +99,7 @@ impl ExecClock {
             }
         }
         if self.running {
-            self.exec += end - self.last_start;
+            self.exec += end.saturating_sub(self.last_start);
         }
         self.exec
     }
@@ -371,7 +375,7 @@ impl SynthesisSession {
             return;
         }
         let segment = std::mem::take(&mut self.buffer);
-        self.feed_segment_owned(segment);
+        self.feed_segment(&segment);
     }
 
     /// The PID → node-name map accumulated so far (seed map plus streamed
@@ -404,23 +408,6 @@ impl SynthesisSession {
     /// chronologically sorted (see `feed_sorted_slices`).
     fn feed_trace_sorted(&mut self, trace: &Trace) {
         self.feed_sorted_slices(trace.ros_events(), trace.sched_events(), trace.len());
-    }
-
-    /// Consumes one trace segment *by value*. Equivalent to
-    /// [`SynthesisSession::feed_segment`], but payload allocations (topic
-    /// name `Arc`s, P1 node names) are moved into the session's state
-    /// instead of cloned — the zero-copy half of the sink → session →
-    /// model pipeline. [`SynthesisSession::flush`] ingests this way.
-    pub fn feed_segment_owned(&mut self, segment: TraceSegment) {
-        let len = segment.len();
-        self.feed_merged(segment.into_merged(), len);
-    }
-
-    /// Consumes a whole trace by value as one segment, like
-    /// [`SynthesisSession::feed_segment_owned`].
-    pub fn feed_trace_owned(&mut self, trace: Trace) {
-        let len = trace.len();
-        self.feed_merged(trace.into_merged(), len);
     }
 
     /// Replays a recorded segment file into the session: reads every
@@ -512,17 +499,6 @@ impl SynthesisSession {
             match event {
                 SegmentEvent::Ros(e) => self.on_ros(e),
                 SegmentEvent::Sched(e) => self.on_sched(e),
-            }
-        }
-        self.end_feed(len);
-    }
-
-    fn feed_merged(&mut self, events: MergedEvents, len: usize) {
-        self.begin_feed(len);
-        for event in events {
-            match event {
-                OwnedSegmentEvent::Ros(e) => self.on_ros_owned(e),
-                OwnedSegmentEvent::Sched(e) => self.on_sched(&e),
             }
         }
         self.end_feed(len);
@@ -909,7 +885,7 @@ impl rtms_trace::EventSink for SynthesisSession {
 mod tests {
     use super::*;
     use crate::synthesis::synthesize;
-    use rtms_trace::{split_by_events, Cpu, Priority, ThreadState};
+    use rtms_trace::{split_by_events, Cpu, EventSink, Priority, ThreadState};
 
     fn ros(ms: u64, pid: u32, payload: RosPayload) -> RosEvent {
         RosEvent::new(Nanos::from_millis(ms), Pid::new(pid), payload)
@@ -1035,6 +1011,28 @@ mod tests {
     }
 
     #[test]
+    fn backwards_switch_across_segments_contributes_zero() {
+        // The second segment's switch-out at 20 ms precedes the switch-in
+        // at 30 ms that the first segment left open.
+        let timer = CallbackKind::Timer;
+        let mut first = TraceSegment::new();
+        first.push_ros(ros(10, 1, RosPayload::CallbackStart { kind: timer }));
+        first.push_ros(ros(10, 1, RosPayload::TimerCall { callback: CallbackId::new(0x11) }));
+        first.push_sched(sw(15, 1, 9));
+        first.push_sched(sw(30, 9, 1));
+        let mut second = TraceSegment::with_index(1);
+        second.push_sched(sw(20, 1, 9));
+        second.push_ros(ros(40, 1, RosPayload::CallbackEnd { kind: timer }));
+        let mut session = SynthesisSession::new();
+        session.feed_segment(&first);
+        session.feed_segment(&second);
+        let lists = session.callback_lists();
+        let (_, node) = lists.iter().find(|(p, _)| *p == Pid::new(1)).expect("pid 1");
+        // Only the in-order stretch [10, 15) counts.
+        assert_eq!(node.entries()[0].stats.mwcet(), Some(Nanos::from_millis(5)));
+    }
+
+    #[test]
     fn request_and_response_decorations_resolve_across_segments() {
         let trace = service_trace();
         let mut session = SynthesisSession::new();
@@ -1060,25 +1058,6 @@ mod tests {
         assert_eq!(session.events_fed(), trace.len() as u64);
         assert!(session.peak_watermark() >= 1);
         assert_eq!(session.segments_fed(), trace.len());
-    }
-
-    #[test]
-    fn owned_feed_equals_by_ref_feed() {
-        let trace = service_trace();
-        let mut by_ref = SynthesisSession::new();
-        by_ref.feed_trace(&trace);
-        for per_segment in [1usize, 4, 1000] {
-            let mut owned = SynthesisSession::new();
-            for seg in split_by_events(&trace, per_segment) {
-                owned.feed_segment_owned(seg);
-            }
-            assert_eq!(owned.model(), by_ref.model(), "segment size {per_segment}");
-            assert_eq!(owned.events_fed(), by_ref.events_fed());
-        }
-        let mut owned = SynthesisSession::new();
-        owned.feed_trace_owned(trace);
-        assert_eq!(owned.model(), by_ref.model());
-        assert_eq!(owned.peak_watermark(), by_ref.peak_watermark());
     }
 
     #[test]

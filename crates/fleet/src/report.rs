@@ -101,7 +101,7 @@ pub(crate) fn percentile_us(sorted: &[u64], q: f64) -> f64 {
         return 0.0;
     }
     let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64 / 1_000.0
+    sorted[rank - 1] as f64
 }
 
 #[cfg(test)]
@@ -111,11 +111,11 @@ mod tests {
     #[test]
     fn percentile_nearest_rank() {
         let us: Vec<u64> = (1..=100u64).map(|n| n * 1_000).collect();
-        assert_eq!(percentile_us(&us, 0.50), 50.0);
-        assert_eq!(percentile_us(&us, 0.99), 99.0);
-        assert_eq!(percentile_us(&us, 1.0), 100.0);
+        assert_eq!(percentile_us(&us, 0.50), 50_000.0);
+        assert_eq!(percentile_us(&us, 0.99), 99_000.0);
+        assert_eq!(percentile_us(&us, 1.0), 100_000.0);
         assert_eq!(percentile_us(&[], 0.5), 0.0);
-        assert_eq!(percentile_us(&[1_500], 0.99), 1.5);
+        assert_eq!(percentile_us(&[1_500], 0.99), 1_500.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Compact binary encoding of trace events.
 //!
-//! The JSON trace store serializes every event through the serde value
-//! tree — fine for archival, far too slow and fat for record-once
-//! replay-many workflows. This module is the dense alternative: a
+//! JSON ([`crate::Trace::to_json`]) serializes every event through the
+//! serde value tree — fine for inspection, far too slow and fat for
+//! record-once replay-many workflows. This module is the dense format: a
 //! hand-rolled little-endian binary encoding (one tag byte plus LEB128
 //! varints, see `rtms_util::varint`) in which a typical event costs a
 //! handful of bytes instead of a hundred.

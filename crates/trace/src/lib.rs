@@ -3,8 +3,10 @@
 //! This crate defines the vocabulary shared by the whole workspace: the
 //! sixteen middleware probes of Table I of the paper ([`Probe`]), the events
 //! those probes emit ([`RosEvent`]), the scheduler events emitted by the
-//! kernel tracer ([`SchedEvent`]), and the containers that hold them
-//! ([`Trace`], [`TraceSession`], [`TraceDatabase`]).
+//! kernel tracer ([`SchedEvent`]), the containers that hold them
+//! ([`Trace`], [`TraceSegment`]), and the binary segment store that is the
+//! paper's Fig. 2 trace database ([`SegmentWriter`], [`SegmentReader`],
+//! [`IndexedSegmentFile`]).
 //!
 //! Events are plain data: everything downstream (the synthesis algorithms in
 //! `rtms-core`, the analyses in `rtms-analysis`) consumes only these types,
@@ -32,7 +34,6 @@ pub mod event;
 pub mod ids;
 pub mod probe;
 pub mod sched_event;
-pub mod session;
 pub mod sink;
 pub mod store;
 pub mod time;
@@ -44,14 +45,12 @@ pub use event::{CallbackKind, RosEvent, RosPayload};
 pub use ids::{CallbackId, Cpu, Pid, Priority};
 pub use probe::{Probe, ProbeAttachment, ProbeSpec, PROBE_CATALOG};
 pub use sched_event::{SchedEvent, SchedEventKind, ThreadState};
-pub use session::{TraceDatabase, TraceSession};
 pub use sink::{
-    split_by_events, EventSink, MergedEvents, OwnedSegmentEvent, SegmentCursor, SegmentEvent,
-    TraceSegment,
+    split_by_events, EventSink, OwnedSegmentEvent, SegmentCursor, SegmentEvent, TraceSegment,
 };
 pub use store::{
     IndexedSegmentFile, SegmentFileStats, SegmentIndexEntry, SegmentReader, SegmentWriter,
-    TraceStore, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION, SEGMENT_TRAILER_MAGIC,
+    SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION, SEGMENT_TRAILER_MAGIC,
 };
 pub use time::Nanos;
 pub use topic::{SourceTimestamp, Topic, TopicKind};

@@ -189,18 +189,6 @@ impl TraceSegment {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
-
-    /// Consumes the segment into a chronological owned-event walk over
-    /// both streams merged by timestamp — the by-value counterpart of
-    /// [`TraceSegment::cursor`], with the identical ordering contract
-    /// (stable per stream, ROS2 first on cross-stream timestamp ties).
-    ///
-    /// An owned walk lets a consumer *move* event payloads (topic name
-    /// `Arc`s, node-name strings) into its own state instead of cloning
-    /// them; the synthesis session's sink path ingests this way.
-    pub fn into_merged(self) -> MergedEvents {
-        self.trace.into_merged()
-    }
 }
 
 impl EventSink for TraceSegment {
@@ -331,7 +319,8 @@ impl<'a> Iterator for SegmentCursor<'a> {
     }
 }
 
-/// One owned event yielded by [`MergedEvents`]: either stream, by value.
+/// One owned event of either stream, by value — what the codec's fused
+/// decode hands its consumer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OwnedSegmentEvent {
     /// A ROS2 middleware event.
@@ -346,59 +335,6 @@ impl OwnedSegmentEvent {
         match self {
             OwnedSegmentEvent::Ros(e) => e.time,
             OwnedSegmentEvent::Sched(e) => e.time,
-        }
-    }
-}
-
-/// Chronological owned-event iterator over the two streams of a consumed
-/// [`Trace`] or [`TraceSegment`], merged by timestamp.
-///
-/// Ordering is identical to [`SegmentCursor`]: each stream is visited in
-/// stable time-sorted order and the ROS2 event wins cross-stream ties. The
-/// events themselves are *moved* to the consumer, so payload allocations
-/// (topic-name `Arc`s, node-name strings) change hands without a copy.
-#[derive(Debug)]
-pub struct MergedEvents {
-    ros: std::iter::Peekable<std::vec::IntoIter<RosEvent>>,
-    sched: std::iter::Peekable<std::vec::IntoIter<SchedEvent>>,
-}
-
-impl Iterator for MergedEvents {
-    type Item = OwnedSegmentEvent;
-
-    fn next(&mut self) -> Option<OwnedSegmentEvent> {
-        match (self.ros.peek(), self.sched.peek()) {
-            (Some(r), Some(s)) => {
-                if r.time <= s.time {
-                    self.ros.next().map(OwnedSegmentEvent::Ros)
-                } else {
-                    self.sched.next().map(OwnedSegmentEvent::Sched)
-                }
-            }
-            (Some(_), None) => self.ros.next().map(OwnedSegmentEvent::Ros),
-            (None, Some(_)) => self.sched.next().map(OwnedSegmentEvent::Sched),
-            (None, None) => None,
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.ros.len() + self.sched.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for MergedEvents {}
-
-impl Trace {
-    /// Consumes the trace into a chronological owned-event walk (see
-    /// [`TraceSegment::into_merged`] for the ordering contract).
-    pub fn into_merged(self) -> MergedEvents {
-        let (mut ros, mut sched) = self.into_events();
-        ros.sort_by_key(|e| e.time);
-        sched.sort_by_key(|e| e.time);
-        MergedEvents {
-            ros: ros.into_iter().peekable(),
-            sched: sched.into_iter().peekable(),
         }
     }
 }
@@ -506,50 +442,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, vec![&a, &b]);
-    }
-
-    #[test]
-    fn owned_merge_matches_cursor_order() {
-        let mut seg = TraceSegment::new();
-        seg.push_sched(sched(1));
-        seg.push_ros(ros(1));
-        seg.push_sched(sched(0));
-        seg.push_ros(ros(2));
-        seg.push_ros(ros(1));
-        let by_ref: Vec<(bool, u64)> = seg
-            .cursor()
-            .map(|e| (matches!(e, SegmentEvent::Ros(_)), e.time().as_nanos()))
-            .collect();
-        let merged = seg.into_merged();
-        assert_eq!(merged.len(), by_ref.len());
-        let by_val: Vec<(bool, u64)> = merged
-            .map(|e| (matches!(e, OwnedSegmentEvent::Ros(_)), e.time().as_nanos()))
-            .collect();
-        assert_eq!(by_val, by_ref, "owned walk must match the cursor's order");
-    }
-
-    #[test]
-    fn owned_merge_moves_payload_allocations() {
-        use crate::topic::{SourceTimestamp, Topic};
-        let topic = Topic::plain("/shared");
-        let name = std::sync::Arc::clone(topic.name_arc());
-        let mut trace = Trace::new();
-        trace.push_ros(RosEvent::new(
-            Nanos::from_nanos(1),
-            Pid::new(1),
-            RosPayload::TakeData {
-                callback: crate::ids::CallbackId::new(1),
-                topic,
-                src_ts: SourceTimestamp::new(1),
-            },
-        ));
-        let event = trace.into_merged().next().expect("one event");
-        let OwnedSegmentEvent::Ros(e) = event else { panic!("ros event") };
-        let RosPayload::TakeData { topic, .. } = e.payload else { panic!("take data") };
-        assert!(
-            std::sync::Arc::ptr_eq(topic.name_arc(), &name),
-            "the name allocation must survive the owned walk"
-        );
     }
 
     #[test]

@@ -194,8 +194,8 @@ impl Trace {
             + self.sched_events.iter().map(SchedEvent::encoded_size).sum::<usize>()
     }
 
-    /// Serializes the trace to JSON (the portable format the trace database
-    /// of Fig. 2 stores segments in).
+    /// Serializes the trace to JSON, a human-readable export. The Fig. 2
+    /// trace database is the binary segment store ([`crate::store`]).
     ///
     /// # Errors
     ///
