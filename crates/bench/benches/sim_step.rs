@@ -1,5 +1,5 @@
-//! Bare scheduler stepping cost: the discrete-event engine alone, with
-//! event recording off and no tracers attached, at 4 / 16 / 64 threads.
+//! Bare scheduler stepping cost: the discrete-event engine alone, with no
+//! sinks (tracers) attached, at 4 / 16 / 64 threads.
 //!
 //! This isolates the hot loop the indexed runqueue work targets — heap
 //! pops, dirty-driven rebalance passes, and slice-check arming — from all
@@ -35,9 +35,7 @@ fn machine(threads: usize) -> Simulator {
             )),
         );
     }
-    let mut sim = b.build();
-    sim.set_recording(false);
-    sim
+    b.build()
 }
 
 fn bench_sim_step(c: &mut Criterion) {
@@ -59,7 +57,7 @@ fn bench_sim_step(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = machine(threads);
                     sim.run_until(HORIZON);
-                    black_box(sim.switch_count())
+                    black_box(sim.stats().switches)
                 });
             },
         );

@@ -92,17 +92,13 @@
 //! a file — `out=BENCH_9.json` at the repo root is the committed baseline
 //! this PR's CI gate compares against (see docs/PERFORMANCE.md).
 //!
-//! `record=<path>` and `replay=<path>` short-circuit the matrix: the
-//! former records the default scenario to a segment file, the latter
-//! measures replay throughput from such a file — together they give the
-//! same numbers as the matrix's replay column, but against a real
-//! on-disk file.
+//! To time replay against a real on-disk file, use the `record` and
+//! `replay` binaries.
 //!
 //! Usage: `cargo run --release -p rtms-bench --bin perf -- [secs=2]
-//! [apps=2] [seed=0] [threads=N] [segment_ms=250] [out=path]
-//! [record=path] [replay=path] [format=text|json]`
+//! [apps=2] [seed=0] [threads=N] [out=path] [format=text|json]`
 
-use rtms_bench::{record_to_file, replay_path, Defaults, ExperimentArgs, Harness, RecordMeta};
+use rtms_bench::{Defaults, ExperimentArgs, Harness};
 use rtms_core::SynthesisSession;
 use rtms_ros2::{Ros2World, WorldBuilder};
 use rtms_trace::{Nanos, SegmentReader, SegmentWriter, TraceSegment};
@@ -520,54 +516,12 @@ fn run_harness_sweep(threads: usize, args: &ExperimentArgs) -> HarnessSweep {
     HarnessSweep { threads, runs, events, events_per_sec: events as f64 / secs.max(1e-12) }
 }
 
-/// `perf record=<path>`: records the default scenario to a segment file.
-fn record_mode(path: &str, args: &ExperimentArgs) {
-    let meta = RecordMeta {
-        secs: args.secs(),
-        apps: args.extra_u64("apps", 2).max(1),
-        seed: args.seed(),
-        segment_ms: args.extra_u64("segment_ms", 250).max(1),
-        profile: Default::default(),
-    };
-    let t = Instant::now();
-    let stats = record_to_file(path, meta).unwrap_or_else(|e| panic!("recording {path}: {e}"));
-    println!(
-        "recorded {} events in {} segments to {path} ({} bytes) in {:.3}s",
-        stats.events,
-        stats.segments,
-        stats.bytes,
-        t.elapsed().as_secs_f64()
-    );
-}
-
-/// `perf replay=<path>`: measures replay throughput from a recorded file.
-fn replay_mode(path: &str) {
-    let t = Instant::now();
-    let outcome = replay_path(path).unwrap_or_else(|e| panic!("replaying {path}: {e}"));
-    let secs = t.elapsed().as_secs_f64();
-    println!(
-        "replayed {} events in {} segments from {path} in {:.4}s ({:.0} events/s)",
-        outcome.events,
-        outcome.segments,
-        secs,
-        outcome.events as f64 / secs.max(1e-12)
-    );
-}
-
 fn main() {
     let args = ExperimentArgs::parse_or_exit(
-        "perf [secs=2] [apps=2] [seed=0] [threads=N] [segment_ms=250] [out=path] [record=path] [replay=path] [format=text|json]",
+        "perf [secs=2] [apps=2] [seed=0] [threads=N] [out=path] [format=text|json]",
         Defaults::single_run(2, 0),
-        &["apps", "out", "record", "replay", "segment_ms"],
+        &["apps", "out"],
     );
-    if let Some(path) = args.extra_string("record") {
-        record_mode(&path, &args);
-        return;
-    }
-    if let Some(path) = args.extra_string("replay") {
-        replay_mode(&path);
-        return;
-    }
     let apps = args.extra_u64("apps", 2).max(1);
     let out = args.extra_string("out");
 

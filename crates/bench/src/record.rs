@@ -1,11 +1,11 @@
 //! Shared record/replay plumbing for the experiment binaries.
 //!
-//! The `record` binary (and `perf record=`) traces a seeded world into a
-//! binary segment file; the `replay` binary (and `perf replay=`) feeds
-//! such a file back through a [`SynthesisSession`]. Both sides construct
-//! the world the same way from the same parameters, carried inside the
-//! file as its meta frame ([`RecordMeta`]) — so a replayed file knows how
-//! to rebuild its own live twin for equivalence checking.
+//! The `record` binary traces a seeded world into a binary segment file;
+//! the `replay` binary feeds such a file back through a
+//! [`SynthesisSession`]. Both sides construct the world the same way from
+//! the same parameters, carried inside the file as its meta frame
+//! ([`RecordMeta`]) — so a replayed file knows how to rebuild its own live
+//! twin for equivalence checking.
 
 use rtms_core::{Dag, SynthesisSession};
 use rtms_ros2::{QosSpec, Ros2World, WorldBuilder};

@@ -18,6 +18,10 @@ use rtms_trace::{Nanos, Pid, SchedEvent, SchedEventKind};
 /// Sec. VII extension) are ignored: a wakeup does not put the thread on a
 /// CPU.
 ///
+/// Out-of-order input (a switch-out stamped before the switch-in that
+/// opened its segment, or `end` before `start`) never wraps the clock: a
+/// backwards stretch contributes zero, as in the online session.
+///
 /// # Example
 ///
 /// ```
@@ -56,7 +60,7 @@ pub fn execution_time(start: Nanos, end: Nanos, pid: Pid, sched_events: &[SchedE
             SchedEventKind::Switch { prev_pid, next_pid, .. } => {
                 if *prev_pid == pid {
                     if running {
-                        exec_time += event.time - last_start;
+                        exec_time += event.time.saturating_sub(last_start);
                         running = false;
                     }
                 } else if *next_pid == pid {
@@ -68,7 +72,7 @@ pub fn execution_time(start: Nanos, end: Nanos, pid: Pid, sched_events: &[SchedE
         }
     }
     if running {
-        exec_time += end - last_start;
+        exec_time += end.saturating_sub(last_start);
     }
     exec_time
 }
@@ -164,6 +168,21 @@ mod tests {
     #[test]
     fn zero_length_window() {
         let et = execution_time(Nanos::from_millis(10), Nanos::from_millis(10), T, &[]);
+        assert_eq!(et, Nanos::ZERO);
+    }
+
+    #[test]
+    fn out_of_order_switches_contribute_zero() {
+        // Unsorted: the switch-out at 12 ms follows the switch-in at 15 ms,
+        // so its segment would run backwards.
+        let sched = vec![sw(15, OTHER, T), sw(12, T, OTHER)];
+        let et = execution_time(Nanos::from_millis(10), Nanos::from_millis(20), T, &sched);
+        assert_eq!(et, Nanos::ZERO);
+    }
+
+    #[test]
+    fn end_before_start_contributes_zero() {
+        let et = execution_time(Nanos::from_millis(20), Nanos::from_millis(10), T, &[]);
         assert_eq!(et, Nanos::ZERO);
     }
 }

@@ -947,7 +947,9 @@ impl Ros2World {
     }
 
     /// Direct access to the underlying machine (advanced use: per-thread
-    /// CPU times, full scheduler event firehose, core utilization).
+    /// CPU times, core utilization, engine work counters). The scheduler
+    /// event stream is not kept here: it reaches the pipeline only through
+    /// the kernel tracer.
     pub fn simulator(&self) -> &Simulator {
         &self.sim
     }

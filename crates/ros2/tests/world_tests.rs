@@ -228,7 +228,7 @@ fn sync_group_fires_only_when_all_inputs_fresh() {
 #[test]
 fn pid_filter_keeps_kernel_trace_focused() {
     // With heavy non-ROS2 background load, the exported kernel trace must
-    // be much smaller than the full firehose.
+    // be much smaller than the unfiltered scheduler stream.
     let mut app = AppBuilder::new("small");
     let n = app.node("solo");
     app.timer(n, "T", Nanos::from_millis(50), WorkModel::constant_millis(1.0));

@@ -79,6 +79,14 @@ impl<T: SchedSink> SchedSink for Rc<RefCell<T>> {
     }
 }
 
+/// Collects the raw stream. Attach it as a shared
+/// `Rc<RefCell<Vec<SchedEvent>>>` and read the events back after the run.
+impl SchedSink for Vec<SchedEvent> {
+    fn on_sched_event(&mut self, event: &SchedEvent) {
+        self.push(event.clone());
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunState {
     Runnable,
@@ -404,11 +412,8 @@ impl SimulatorBuilder {
             seq: 0,
             ready_ctr,
             timeslice: self.timeslice,
-            record: true,
-            events: Vec::new(),
             sinks: Vec::new(),
             busy: vec![Nanos::ZERO; cpus],
-            switch_count: 0,
             stats: SimStats::default(),
         }
     }
@@ -416,9 +421,11 @@ impl SimulatorBuilder {
 
 /// The simulated multi-core machine.
 ///
-/// Drive it with [`Simulator::run_until`]; collect the scheduler event
-/// stream with [`Simulator::sched_events`] or attach a [`SchedSink`] (the
-/// kernel tracer) with [`Simulator::add_sink`].
+/// Drive it with [`Simulator::run_until`]. Scheduler events leave the
+/// machine only through the [`SchedSink`]s attached with
+/// [`Simulator::add_sink`] (the kernel tracer); the simulator keeps no
+/// copy. Tests that need the raw stream attach an
+/// `Rc<RefCell<Vec<SchedEvent>>>`.
 pub struct Simulator {
     now: Nanos,
     first_pid: u32,
@@ -444,11 +451,8 @@ pub struct Simulator {
     seq: u64,
     ready_ctr: u64,
     timeslice: Nanos,
-    record: bool,
-    events: Vec<SchedEvent>,
     sinks: Vec<Box<dyn SchedSink>>,
     busy: Vec<Nanos>,
-    switch_count: u64,
     stats: SimStats,
 }
 
@@ -463,24 +467,9 @@ impl Simulator {
         self.running.len()
     }
 
-    /// Disables in-memory recording of scheduler events (sinks still fire).
-    pub fn set_recording(&mut self, record: bool) {
-        self.record = record;
-    }
-
     /// Attaches a scheduler-event sink (e.g. the eBPF kernel tracer).
     pub fn add_sink(&mut self, sink: Box<dyn SchedSink>) {
         self.sinks.push(sink);
-    }
-
-    /// All recorded scheduler events (the unfiltered "firehose").
-    pub fn sched_events(&self) -> &[SchedEvent] {
-        &self.events
-    }
-
-    /// Takes ownership of the recorded scheduler events, leaving none.
-    pub fn take_sched_events(&mut self) -> Vec<SchedEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Total CPU time consumed by `pid` so far.
@@ -517,14 +506,9 @@ impl Simulator {
         self.threads[self.index(pid)].state != RunState::Dead
     }
 
-    /// Number of context switches performed so far.
-    pub fn switch_count(&self) -> u64 {
-        self.switch_count
-    }
-
     /// A snapshot of the engine's work counters (cumulative since build).
     pub fn stats(&self) -> SimStats {
-        SimStats { switches: self.switch_count, ..self.stats }
+        self.stats
     }
 
     /// Runs the simulation up to (and including) time `until`.
@@ -663,9 +647,6 @@ impl Simulator {
     fn emit(&mut self, event: SchedEvent) {
         for sink in &mut self.sinks {
             sink.on_sched_event(&event);
-        }
-        if self.record {
-            self.events.push(event);
         }
     }
 
@@ -1140,7 +1121,7 @@ impl Simulator {
                 next_prio,
             );
             self.emit(ev);
-            self.switch_count += 1;
+            self.stats.switches += 1;
             self.last_running[c] = current;
         }
     }
@@ -1152,7 +1133,7 @@ impl fmt::Debug for Simulator {
             .field("now", &self.now)
             .field("cpus", &self.running.len())
             .field("threads", &self.threads.len())
-            .field("switches", &self.switch_count)
+            .field("switches", &self.stats.switches)
             .finish()
     }
 }
@@ -1165,6 +1146,13 @@ mod tests {
 
     fn compute(ms: u64) -> Op {
         Op::Compute(Nanos::from_millis(ms))
+    }
+
+    /// Attaches a collector sink and returns the stream it fills.
+    fn collector(sim: &mut Simulator) -> Rc<RefCell<Vec<SchedEvent>>> {
+        let events = Rc::new(RefCell::new(Vec::new()));
+        sim.add_sink(Box::new(Rc::clone(&events)));
+        events
     }
 
     #[test]
@@ -1181,7 +1169,7 @@ mod tests {
         assert_eq!(sim.cpu_time(pid), Nanos::from_millis(5));
         assert!(!sim.is_alive(pid));
         // switch to thread, switch to idle
-        assert!(sim.switch_count() >= 2);
+        assert!(sim.stats().switches >= 2);
     }
 
     #[test]
@@ -1232,7 +1220,7 @@ mod tests {
         let tb = sim.cpu_time(c).as_millis_f64();
         assert!((ta - 7.5).abs() <= 1.0, "a ran {ta}ms, want ~7.5");
         assert!((tb - 7.5).abs() <= 1.0, "b ran {tb}ms, want ~7.5");
-        assert!(sim.switch_count() > 10, "RR must context-switch repeatedly");
+        assert!(sim.stats().switches > 10, "RR must context-switch repeatedly");
     }
 
     #[test]
@@ -1254,13 +1242,14 @@ mod tests {
             ])),
         );
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(20));
         assert_eq!(sim.cpu_time(high), Nanos::from_millis(3));
         assert_eq!(sim.cpu_time(low), Nanos::from_millis(10));
         // High thread ran [2,5); low thread must have been preempted, so it
         // finishes at 13ms, not 10ms. Check via the final switch to idle.
-        let last_low_switch = sim
-            .sched_events()
+        let last_low_switch = events
+            .borrow()
             .iter()
             .filter_map(|e| match &e.kind {
                 SchedEventKind::Switch { prev_pid, prev_state, .. }
@@ -1285,12 +1274,13 @@ mod tests {
             Box::new(ScriptedLogic::new(vec![compute(5)])),
         );
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(10));
         assert_eq!(sim.cpu_time(pinned), Nanos::from_millis(5));
         assert_eq!(sim.busy_time(Cpu::new(0)), Nanos::ZERO);
         assert_eq!(sim.busy_time(Cpu::new(1)), Nanos::from_millis(5));
         // Every switch event involving the pinned thread names cpu1.
-        for e in sim.sched_events() {
+        for e in events.borrow().iter() {
             if e.prev_pid() == Some(pinned) || e.next_pid() == Some(pinned) {
                 assert_eq!(e.cpu, Cpu::new(1));
             }
@@ -1333,15 +1323,17 @@ mod tests {
             ])),
         );
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(20));
         assert_eq!(sim.cpu_time(pid), Nanos::from_millis(2));
         // A wakeup event fires at t=8ms.
-        let wake = sim
-            .sched_events()
+        let wake = events
+            .borrow()
             .iter()
             .find(|e| matches!(e.kind, SchedEventKind::Wakeup { pid: p, .. } if p == pid))
-            .expect("wakeup recorded");
-        assert_eq!(wake.time, Nanos::from_millis(8));
+            .expect("wakeup recorded")
+            .time;
+        assert_eq!(wake, Nanos::from_millis(8));
     }
 
     /// A thread that wakes a sleeping partner mid-run.
@@ -1375,15 +1367,17 @@ mod tests {
         let waker =
             b.spawn("waker", Priority::NORMAL, Affinity::all(), Box::new(Waker { target: sleeper, step: 0 }));
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(20));
         assert_eq!(sim.cpu_time(sleeper), Nanos::from_millis(2));
         assert_eq!(sim.cpu_time(waker), Nanos::from_millis(4));
-        let wake = sim
-            .sched_events()
+        let wake = events
+            .borrow()
             .iter()
             .find(|e| matches!(e.kind, SchedEventKind::Wakeup { pid: p, .. } if p == sleeper))
-            .expect("wakeup recorded");
-        assert_eq!(wake.time, Nanos::from_millis(3));
+            .expect("wakeup recorded")
+            .time;
+        assert_eq!(wake, Nanos::from_millis(3));
     }
 
     #[test]
@@ -1449,10 +1443,11 @@ mod tests {
             );
         }
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(40));
         let mut current: Vec<Pid> = vec![Pid::IDLE; 2];
         let mut prev_time = Nanos::ZERO;
-        for e in sim.sched_events() {
+        for e in events.borrow().iter() {
             assert!(e.time >= prev_time, "events must be chronological");
             prev_time = e.time;
             if let SchedEventKind::Switch { prev_pid, next_pid, .. } = &e.kind {
@@ -1529,15 +1524,17 @@ mod tests {
         let mut bi = SimulatorBuilder::new(2);
         mixed_machine(&mut bi);
         let mut indexed = bi.build();
+        let indexed_events = collector(&mut indexed);
         indexed.run_until(Nanos::from_millis(60));
 
         let mut br = SimulatorBuilder::new(2).reference_engine();
         mixed_machine(&mut br);
         let mut reference = br.build();
+        let reference_events = collector(&mut reference);
         reference.run_until(Nanos::from_millis(60));
 
-        assert_eq!(indexed.sched_events(), reference.sched_events());
-        assert_eq!(indexed.switch_count(), reference.switch_count());
+        assert_eq!(*indexed_events.borrow(), *reference_events.borrow());
+        assert_eq!(indexed.stats().switches, reference.stats().switches);
         for pid in indexed.pids() {
             assert_eq!(indexed.cpu_time(pid), reference.cpu_time(pid));
         }
@@ -1555,6 +1552,7 @@ mod tests {
             );
         }
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(30));
         let stats = sim.stats();
         assert!(stats.events > 0, "events must be counted");
@@ -1564,7 +1562,12 @@ mod tests {
             stats.rebalance_skipped > 0,
             "slice re-arms must not trigger scheduling passes"
         );
-        assert_eq!(stats.switches, sim.switch_count());
+        let switches = events
+            .borrow()
+            .iter()
+            .filter(|e| matches!(e.kind, SchedEventKind::Switch { .. }))
+            .count();
+        assert_eq!(stats.switches, switches as u64, "one count per emitted switch");
         // Two equal-priority threads: nothing is suppressed.
         assert_eq!(stats.slice_suppressed, 0);
     }
@@ -1612,8 +1615,9 @@ mod tests {
         );
         let mut sim = b.build();
         sim.add_sink(Box::new(Rc::clone(&counter)));
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(5));
-        assert_eq!(counter.borrow().0, sim.sched_events().len());
+        assert_eq!(counter.borrow().0, events.borrow().len(), "every sink sees every event");
         assert!(counter.borrow().0 > 0);
     }
 }

@@ -11,7 +11,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtms_sched::{Affinity, Op, PeriodicLoad, ScriptedLogic, Simulator, SimulatorBuilder};
-use rtms_trace::{Cpu, Nanos, Priority};
+use rtms_trace::{Cpu, Nanos, Priority, SchedEvent};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Spawns a seed-determined machine: a few scripted threads with random
 /// priorities, affinities, and compute/sleep scripts, plus one periodic
@@ -55,24 +57,35 @@ fn spawn_machine(seed: u64, cpus: usize, b: &mut SimulatorBuilder) {
     );
 }
 
-fn run(seed: u64, cpus: usize, reference: bool) -> Simulator {
+/// A finished machine and the full event stream its sink collected.
+type Run = (Simulator, Vec<SchedEvent>);
+
+/// Builds the machine, attaches a collector sink, and runs it to `until`.
+fn run_collected(b: SimulatorBuilder, until: Nanos) -> Run {
+    let mut sim = b.build();
+    let events = Rc::new(RefCell::new(Vec::new()));
+    sim.add_sink(Box::new(Rc::clone(&events)));
+    sim.run_until(until);
+    let events = events.take();
+    (sim, events)
+}
+
+fn run(seed: u64, cpus: usize, reference: bool) -> Run {
     let mut b = SimulatorBuilder::new(cpus);
     if reference {
         b = b.reference_engine();
     }
     spawn_machine(seed, cpus, &mut b);
-    let mut sim = b.build();
-    sim.run_until(Nanos::from_millis(40));
-    sim
+    run_collected(b, Nanos::from_millis(40))
 }
 
-fn assert_identical(indexed: &Simulator, reference: &Simulator, seed: u64) {
-    assert_eq!(
-        indexed.sched_events(),
-        reference.sched_events(),
-        "sched stream diverged (seed {seed})"
-    );
-    assert_eq!(indexed.switch_count(), reference.switch_count(), "seed {seed}");
+fn assert_identical(
+    (indexed, indexed_events): &Run,
+    (reference, reference_events): &Run,
+    seed: u64,
+) {
+    assert_eq!(indexed_events, reference_events, "sched stream diverged (seed {seed})");
+    assert_eq!(indexed.stats().switches, reference.stats().switches, "seed {seed}");
     for pid in indexed.pids() {
         assert_eq!(indexed.cpu_time(pid), reference.cpu_time(pid), "seed {seed}");
         assert_eq!(indexed.is_alive(pid), reference.is_alive(pid), "seed {seed}");
@@ -126,9 +139,7 @@ fn engines_agree_on_single_bucket_round_robin() {
                 ])),
             );
         }
-        let mut sim = b.build();
-        sim.run_until(Nanos::from_millis(30));
-        sim
+        run_collected(b, Nanos::from_millis(30))
     };
     assert_identical(&build(false), &build(true), 0);
 }

@@ -2,8 +2,10 @@
 //! event-stream invariants under randomized workloads.
 
 use proptest::prelude::*;
-use rtms_sched::{Affinity, Op, ScriptedLogic, SimulatorBuilder};
-use rtms_trace::{Nanos, Pid, Priority, SchedEventKind};
+use rtms_sched::{Affinity, Op, ScriptedLogic, Simulator, SimulatorBuilder};
+use rtms_trace::{Nanos, Pid, Priority, SchedEvent, SchedEventKind};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[derive(Debug, Clone)]
 struct ThreadPlan {
@@ -19,7 +21,14 @@ fn arb_plan() -> impl Strategy<Value = ThreadPlan> {
         .prop_map(|(prio, ops)| ThreadPlan { prio, ops })
 }
 
-fn build(plans: &[ThreadPlan], cpus: usize) -> (rtms_sched::Simulator, Vec<(Pid, Nanos)>) {
+/// Attaches a collector sink and returns the stream it fills.
+fn collector(sim: &mut Simulator) -> Rc<RefCell<Vec<SchedEvent>>> {
+    let events = Rc::new(RefCell::new(Vec::new()));
+    sim.add_sink(Box::new(Rc::clone(&events)));
+    events
+}
+
+fn build(plans: &[ThreadPlan], cpus: usize) -> (Simulator, Vec<(Pid, Nanos)>) {
     let mut b = SimulatorBuilder::new(cpus);
     let mut expect = Vec::new();
     for (i, plan) in plans.iter().enumerate() {
@@ -82,10 +91,11 @@ proptest! {
     #[test]
     fn switch_stream_continuity(plans in proptest::collection::vec(arb_plan(), 1..6), cpus in 1usize..4) {
         let (mut sim, _) = build(&plans, cpus);
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_secs(2));
         let mut current = vec![Pid::IDLE; cpus];
         let mut prev_time = Nanos::ZERO;
-        for ev in sim.sched_events() {
+        for ev in events.borrow().iter() {
             prop_assert!(ev.time >= prev_time);
             prev_time = ev.time;
             if let SchedEventKind::Switch { prev_pid, next_pid, .. } = &ev.kind {
@@ -117,10 +127,11 @@ proptest! {
             Box::new(ScriptedLogic::new(vec![Op::Compute(Nanos::from_micros(work_us))])),
         );
         let mut sim = b.build();
+        let events = collector(&mut sim);
         sim.run_until(Nanos::from_millis(100));
         // High preempts immediately at t=0 and runs to completion.
-        let done = sim
-            .sched_events()
+        let done = events
+            .borrow()
             .iter()
             .find(|e| matches!(&e.kind,
                 SchedEventKind::Switch { prev_pid, .. } if *prev_pid == high))
