@@ -54,16 +54,25 @@ impl CallbackRecord {
     }
 
     /// Estimated invocation period: the mean gap between consecutive start
-    /// times (meaningful for timer callbacks, per Sec. IV).
+    /// times (meaningful for timer callbacks, per Sec. IV). Out-of-order
+    /// pairs are skipped; `None` if no gap is left.
     pub fn estimated_period(&self) -> Option<Nanos> {
-        if self.start_times.len() < 2 {
-            return None;
+        let (mut sum, mut count) = (0u64, 0u64);
+        for gap in self.start_gaps() {
+            sum += gap.as_nanos();
+            count += 1;
         }
-        let mut gaps = 0u64;
-        for w in self.start_times.windows(2) {
-            gaps += (w[1] - w[0]).as_nanos();
-        }
-        Some(Nanos::from_nanos(gaps / (self.start_times.len() as u64 - 1)))
+        (count > 0).then(|| Nanos::from_nanos(sum / count))
+    }
+
+    /// Gaps between consecutive start times. A pair whose later start
+    /// precedes the earlier one (a late, out-of-order segment) is skipped
+    /// rather than wrapped or clamped to a zero sample.
+    pub(crate) fn start_gaps(&self) -> impl Iterator<Item = Nanos> + '_ {
+        // Checking the order once up front lets the compiler drop the
+        // per-pair test for in-order input, which every model build sees.
+        let sorted = self.start_times.is_sorted();
+        self.start_times.windows(2).filter(move |w| sorted || w[1] >= w[0]).map(|w| w[1] - w[0])
     }
 }
 

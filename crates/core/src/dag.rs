@@ -175,10 +175,7 @@ impl Dag {
         let mut dag = Dag::new();
         for (pid, list) in lists {
             for rec in list.entries() {
-                let mut period = ExecStats::new();
-                for w in rec.start_times.windows(2) {
-                    period.push(w[1] - w[0]);
-                }
+                let period = ExecStats::from_samples(rec.start_gaps());
                 dag.vertices.push(DagVertex {
                     node: node_of(*pid),
                     kind: VertexKind::Callback(rec.kind),

@@ -1033,6 +1033,30 @@ mod tests {
     }
 
     #[test]
+    fn late_segment_start_gap_is_skipped_not_wrapped() {
+        // Segment 1 carries an instance of the same timer that started
+        // before segment 0's: its start gap would be negative.
+        let (timer, id) = (CallbackKind::Timer, CallbackId::new(0x11));
+        let instance = |start: u64, end: u64, index: usize| {
+            let mut seg = TraceSegment::with_index(index);
+            seg.push_ros(ros(start, 1, RosPayload::CallbackStart { kind: timer }));
+            seg.push_ros(ros(start, 1, RosPayload::TimerCall { callback: id }));
+            seg.push_ros(ros(end, 1, RosPayload::CallbackEnd { kind: timer }));
+            seg
+        };
+        let mut session = SynthesisSession::new();
+        session.feed_segment(&instance(10, 12, 0));
+        session.feed_segment(&instance(5, 8, 1));
+        let lists = session.callback_lists();
+        let (_, node) = lists.iter().find(|(p, _)| *p == Pid::new(1)).expect("pid 1");
+        let record = &node.entries()[0];
+        assert_eq!(record.start_times.len(), 2);
+        assert_eq!(record.estimated_period(), None);
+        let model = session.model();
+        assert_eq!(model.vertices()[0].period.count(), 0);
+    }
+
+    #[test]
     fn request_and_response_decorations_resolve_across_segments() {
         let trace = service_trace();
         let mut session = SynthesisSession::new();

@@ -23,10 +23,6 @@
 //!   [`Ros2RtTracer`] (P2–P16) and [`KernelTracer`] (`sched_switch`,
 //!   optionally `sched_wakeup`).
 //!
-//! [`vm`] additionally provides a bytecode-level BPF virtual machine with
-//! its own load-time verifier; the Table I programs are expressed in its
-//! instruction set and tested for agreement with the native tracer path.
-//!
 //! The middleware simulator (`rtms-ros2`) drives the tracers by reporting
 //! every traced function entry/exit as a [`call::FunctionCall`]; argument
 //! values that a uretprobe can only observe at function exit (the
@@ -45,7 +41,6 @@ pub mod tracer_init;
 pub mod tracer_kernel;
 pub mod tracer_rt;
 pub mod verifier;
-pub mod vm;
 
 pub use call::{AttachPoint, FunctionArgs, FunctionCall, SrcTsRef};
 pub use map::{BpfMap, MapError, PidFilterMap};
@@ -56,4 +51,3 @@ pub use tracer_init::Ros2InitTracer;
 pub use tracer_kernel::KernelTracer;
 pub use tracer_rt::Ros2RtTracer;
 pub use verifier::{Verifier, VerifyError};
-pub use vm::{Insn, Program, VmEnv, VmFault, VmVerifyError};

@@ -449,39 +449,17 @@ impl SegmentHeader {
     }
 }
 
-/// Decodes a segment frame payload produced by [`encode_segment`].
+/// Decodes a segment frame payload produced by [`encode_segment`] into a
+/// fresh segment. Records are routed back to their stream by tag family,
+/// so each stream comes back exactly as it went in.
 pub fn decode_segment(payload: &[u8], dict: &[Arc<str>]) -> Result<TraceSegment, CodecError> {
     let mut segment = TraceSegment::new();
-    decode_segment_into(payload, dict, &mut segment)?;
+    let (index, _) = decode_segment_events(payload, dict, |event| match event {
+        OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
+        OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
+    })?;
+    segment.set_index(index);
     Ok(segment)
-}
-
-/// Decodes a segment frame payload into an existing segment, reusing its
-/// event buffers — the allocation-lean form batch replay uses (one
-/// segment allocation per *replay*, not per frame). Records are routed
-/// back to their stream by tag family, so each stream comes back exactly
-/// as it went in.
-pub fn decode_segment_into(
-    payload: &[u8],
-    dict: &[Arc<str>],
-    segment: &mut TraceSegment,
-) -> Result<(), CodecError> {
-    segment.clear();
-    let mut r = ByteReader::new(payload);
-    let header = SegmentHeader::decode(&mut r)?;
-    segment.set_index(header.index as usize);
-    segment.reserve(header.ros_count as usize, header.sched_count as usize);
-    let mut prev = Nanos::from_nanos(0);
-    for _ in 0..header.total() {
-        match decode_event(&mut r, &mut prev, dict)? {
-            OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
-            OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
-        }
-    }
-    if segment.ros_events().len() as u64 != header.ros_count || !r.is_empty() {
-        return Err(CodecError::Truncated);
-    }
-    Ok(())
 }
 
 /// Streaming decode of a segment frame payload: invokes `f` with each
@@ -971,22 +949,5 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn reused_segment_buffer_is_fully_overwritten() {
-        let seg = sample_segment();
-        let mut dict = TopicInterner::new();
-        let mut payload = Vec::new();
-        encode_segment(&seg, &mut dict, &mut payload);
-        let dict: Vec<Arc<str>> = dict.entries().to_vec();
-        let mut reused = TraceSegment::with_index(99);
-        reused.push_ros(RosEvent::new(
-            Nanos::from_nanos(1),
-            Pid::new(1),
-            RosPayload::SyncSubscribe,
-        ));
-        decode_segment_into(&payload, &dict, &mut reused).expect("decodes");
-        assert_eq!(reused, seg, "stale contents must not survive");
     }
 }

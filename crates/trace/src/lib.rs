@@ -5,8 +5,8 @@
 //! those probes emit ([`RosEvent`]), the scheduler events emitted by the
 //! kernel tracer ([`SchedEvent`]), the containers that hold them
 //! ([`Trace`], [`TraceSegment`]), and the binary segment store that is the
-//! paper's Fig. 2 trace database ([`SegmentWriter`], [`SegmentReader`],
-//! [`IndexedSegmentFile`]).
+//! paper's Fig. 2 trace database ([`SegmentWriter`] records it once,
+//! [`SegmentReader`] replays it in file order).
 //!
 //! Events are plain data: everything downstream (the synthesis algorithms in
 //! `rtms-core`, the analyses in `rtms-analysis`) consumes only these types,
@@ -49,8 +49,8 @@ pub use sink::{
     split_by_events, EventSink, OwnedSegmentEvent, SegmentCursor, SegmentEvent, TraceSegment,
 };
 pub use store::{
-    IndexedSegmentFile, SegmentFileStats, SegmentIndexEntry, SegmentReader, SegmentWriter,
-    SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION, SEGMENT_TRAILER_MAGIC,
+    SegmentFileStats, SegmentReader, SegmentWriter, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION,
+    SEGMENT_TRAILER_MAGIC,
 };
 pub use time::Nanos;
 pub use topic::{SourceTimestamp, Topic, TopicKind};

@@ -1,20 +1,21 @@
 //! File-backed trace storage — the "trace database" of Fig. 2.
 //!
-//! [`SegmentWriter`]/[`SegmentReader`]/[`IndexedSegmentFile`] form the
-//! compact binary segment-file container built on [`crate::codec`]: one
-//! file per run, topic names written once through the interning
-//! dictionary, every frame length-prefixed and CRC-32-checked, with a
-//! seekable index at the end. This is the record-once-replay-many format
-//! (`docs/TRACE_FORMAT.md`): a `Ros2World` can record straight to disk
-//! through the [`crate::EventSink`] impl, and a synthesis session can
-//! replay straight from the reader at far beyond collection speed.
+//! [`SegmentWriter`] and [`SegmentReader`] form the compact binary
+//! segment-file container built on [`crate::codec`]: one file per run,
+//! topic names written once through the interning dictionary, every frame
+//! length-prefixed and CRC-32-checked, closed by an index frame and a
+//! fixed trailer. The reader streams the file front to back and treats
+//! the index frame as its clean end. This is the record-once-replay-many
+//! format (`docs/TRACE_FORMAT.md`): a `Ros2World` can record straight to
+//! disk through the [`crate::EventSink`] impl, and a synthesis session
+//! can replay straight from the reader at far beyond collection speed.
 
 use crate::codec::{self, CodecError, TopicInterner};
 use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
 use crate::{RosEvent, SchedEvent};
 use serde::Serialize;
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -49,14 +50,14 @@ fn frame_crc(kind: u8, len: u32, payload: &[u8]) -> u32 {
 const TRAILER_LEN: u64 = 16;
 
 /// One index entry: where a segment frame lives and what it holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SegmentIndexEntry {
+#[derive(Debug)]
+struct SegmentIndexEntry {
     /// Byte offset of the frame's kind byte from the start of the file.
-    pub offset: u64,
+    offset: u64,
     /// The segment's run index (as written by the producer).
-    pub segment_index: u64,
+    segment_index: u64,
     /// Total events (both streams) in the segment.
-    pub events: u64,
+    events: u64,
 }
 
 /// Summary statistics returned by [`SegmentWriter::finish`].
@@ -306,7 +307,8 @@ impl<W: Write> EventSink for SegmentWriter<W> {
 /// The reader is strict: every frame's CRC is verified, and reaching
 /// end-of-input without the index frame is an error
 /// ([`CodecError::MissingIndex`]) — per-frame checksums cannot catch a
-/// file truncated exactly at a frame boundary, the trailer can.
+/// file truncated exactly at a frame boundary, the missing index frame
+/// can. The trailer after the index frame is never read.
 ///
 /// Also an [`Iterator`] over `Result<TraceSegment, CodecError>`.
 #[derive(Debug)]
@@ -381,9 +383,8 @@ impl<R: Read> SegmentReader<R> {
     }
 
     /// Reads the next stored segment into an existing buffer, returning
-    /// `false` (leaving the buffer cleared) after the index frame. This
-    /// is the replay hot path: one segment allocation serves the whole
-    /// file.
+    /// `false` (leaving the buffer cleared) after the index frame. One
+    /// segment allocation serves the whole file.
     ///
     /// # Errors
     ///
@@ -391,30 +392,13 @@ impl<R: Read> SegmentReader<R> {
     /// I/O failure.
     pub fn read_segment_into(&mut self, segment: &mut TraceSegment) -> Result<bool, CodecError> {
         segment.clear();
-        if self.finished {
-            return Ok(false);
-        }
-        loop {
-            let (kind, payload_len) = self.read_frame()?;
-            let payload = &self.payload[..payload_len];
-            match kind {
-                FRAME_DICT => codec::decode_dict_entries(payload, &mut self.dict)?,
-                FRAME_META => {
-                    let text =
-                        std::str::from_utf8(payload).map_err(|_| CodecError::BadUtf8)?;
-                    self.meta = Some(text.to_string());
-                }
-                FRAME_SEGMENT => {
-                    codec::decode_segment_into(payload, &self.dict, segment)?;
-                    return Ok(true);
-                }
-                FRAME_INDEX => {
-                    self.finished = true;
-                    return Ok(false);
-                }
-                k => return Err(CodecError::BadFrameKind(k)),
-            }
-        }
+        let read = self.next_segment_events(|event| match event {
+            OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
+            OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
+        })?;
+        let Some((index, _)) = read else { return Ok(false) };
+        segment.set_index(index);
+        Ok(true)
     }
 
     /// Streams the next segment's events into `f`, in on-disk (merged
@@ -510,221 +494,6 @@ fn map_eof(e: io::Error, at_boundary: CodecError) -> CodecError {
     }
 }
 
-/// Random-access reader over a *finished* segment file: loads the trailer,
-/// the index frame, and every dictionary frame up front, then serves any
-/// segment by position with one seek + one frame read.
-///
-/// # Example
-///
-/// ```no_run
-/// use rtms_trace::IndexedSegmentFile;
-///
-/// let mut file = IndexedSegmentFile::open("/var/traces/run.seg")?;
-/// let last = file.len() - 1;
-/// let segment = file.read_segment(last)?;
-/// println!("{} events in the final segment", segment.len());
-/// # Ok::<(), rtms_trace::CodecError>(())
-/// ```
-#[derive(Debug)]
-pub struct IndexedSegmentFile<R: Read + Seek = io::BufReader<fs::File>> {
-    inner: R,
-    dict: Vec<Arc<str>>,
-    entries: Vec<SegmentIndexEntry>,
-    payload: Vec<u8>,
-}
-
-impl IndexedSegmentFile<io::BufReader<fs::File>> {
-    /// Opens a finished segment file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be opened, is not a finished
-    /// segment file, or its index/dictionary frames are corrupt.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, CodecError> {
-        IndexedSegmentFile::new(io::BufReader::new(fs::File::open(path)?))
-    }
-}
-
-impl<R: Read + Seek> IndexedSegmentFile<R> {
-    /// Wraps a seekable byte source holding a finished segment file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CodecError`] if the header, trailer, index
-    /// frame, or any dictionary frame is missing or corrupt.
-    pub fn new(mut inner: R) -> Result<Self, CodecError> {
-        // Header.
-        let mut header = [0u8; 12];
-        inner.seek(SeekFrom::Start(0))?;
-        inner
-            .read_exact(&mut header)
-            .map_err(|e| map_eof(e, CodecError::BadMagic))?;
-        if header[..8] != SEGMENT_FILE_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u16::from_le_bytes([header[8], header[9]]);
-        if version != SEGMENT_FILE_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        // Trailer.
-        let file_len = inner.seek(SeekFrom::End(0))?;
-        if file_len < 12 + TRAILER_LEN {
-            return Err(CodecError::MissingIndex);
-        }
-        inner.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        let mut trailer = [0u8; 16];
-        inner
-            .read_exact(&mut trailer)
-            .map_err(|e| map_eof(e, CodecError::MissingIndex))?;
-        if trailer[8..] != SEGMENT_TRAILER_MAGIC {
-            return Err(CodecError::MissingIndex);
-        }
-        let index_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        if index_offset >= file_len - TRAILER_LEN {
-            return Err(CodecError::MissingIndex);
-        }
-        let mut this = IndexedSegmentFile {
-            inner,
-            dict: Vec::new(),
-            entries: Vec::new(),
-            payload: Vec::new(),
-        };
-        // Index frame.
-        let (kind, len) = this.read_frame_at(index_offset)?;
-        if kind != FRAME_INDEX {
-            return Err(CodecError::BadFrameKind(kind));
-        }
-        let payload = std::mem::take(&mut this.payload);
-        let (dict_offsets, entries) = parse_index(&payload[..len])?;
-        this.entries = entries;
-        this.payload = payload;
-        // Dictionary frames, in file order.
-        for off in dict_offsets {
-            let (kind, len) = this.read_frame_at(off)?;
-            if kind != FRAME_DICT {
-                return Err(CodecError::BadFrameKind(kind));
-            }
-            let payload = std::mem::take(&mut this.payload);
-            codec::decode_dict_entries(&payload[..len], &mut this.dict)?;
-            this.payload = payload;
-        }
-        Ok(this)
-    }
-
-    /// Number of stored segments.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the file stores no segments.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The index entries, in file order.
-    pub fn entries(&self) -> &[SegmentIndexEntry] {
-        &self.entries
-    }
-
-    /// The complete topic dictionary.
-    pub fn topics(&self) -> &[Arc<str>] {
-        &self.dict
-    }
-
-    /// Reads the `i`-th stored segment (by file position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CodecError`] on corruption or I/O failure.
-    pub fn read_segment(&mut self, i: usize) -> Result<TraceSegment, CodecError> {
-        let offset = self.entries[i].offset;
-        let (kind, len) = self.read_frame_at(offset)?;
-        if kind != FRAME_SEGMENT {
-            return Err(CodecError::BadFrameKind(kind));
-        }
-        let payload = std::mem::take(&mut self.payload);
-        let result = codec::decode_segment(&payload[..len], &self.dict);
-        self.payload = payload;
-        result
-    }
-
-    fn read_frame_at(&mut self, offset: u64) -> Result<(u8, usize), CodecError> {
-        self.inner.seek(SeekFrom::Start(offset))?;
-        let mut kind = [0u8; 1];
-        self.inner
-            .read_exact(&mut kind)
-            .map_err(|e| map_eof(e, CodecError::Truncated))?;
-        let mut len_bytes = [0u8; 4];
-        self.inner
-            .read_exact(&mut len_bytes)
-            .map_err(|e| map_eof(e, CodecError::Truncated))?;
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::BadLength { len: u64::from(len), max: u64::from(MAX_FRAME_LEN) });
-        }
-        self.payload.clear();
-        let got = self
-            .inner
-            .by_ref()
-            .take(u64::from(len))
-            .read_to_end(&mut self.payload)?;
-        if got < len as usize {
-            return Err(CodecError::Truncated);
-        }
-        let mut crc_bytes = [0u8; 4];
-        self.inner
-            .read_exact(&mut crc_bytes)
-            .map_err(|e| map_eof(e, CodecError::Truncated))?;
-        if frame_crc(kind[0], len, &self.payload) != u32::from_le_bytes(crc_bytes) {
-            return Err(CodecError::ChecksumMismatch);
-        }
-        Ok((kind[0], len as usize))
-    }
-
-}
-
-/// Parses an index-frame payload into `(dict offsets, segment entries)`.
-/// Counts are validated against the remaining byte budget before any
-/// allocation sized from them (each listed item costs ≥1 byte).
-fn parse_index(payload: &[u8]) -> Result<(Vec<u64>, Vec<SegmentIndexEntry>), CodecError> {
-    fn next(payload: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-        let (v, n) =
-            rtms_util::varint::read_u64(&payload[*pos..]).ok_or(CodecError::BadVarint)?;
-        *pos += n;
-        Ok(v)
-    }
-    let mut pos = 0usize;
-    let dict_count = next(payload, &mut pos)?;
-    let budget = (payload.len() - pos) as u64;
-    if dict_count > budget {
-        return Err(CodecError::BadCount { count: dict_count, budget });
-    }
-    let mut dict_offsets = Vec::with_capacity(dict_count as usize);
-    for _ in 0..dict_count {
-        dict_offsets.push(next(payload, &mut pos)?);
-    }
-    let seg_count = next(payload, &mut pos)?;
-    let budget = (payload.len() - pos) as u64 / 3;
-    if seg_count > budget {
-        return Err(CodecError::BadCount { count: seg_count, budget });
-    }
-    let mut entries = Vec::with_capacity(seg_count as usize);
-    for _ in 0..seg_count {
-        let offset = next(payload, &mut pos)?;
-        let segment_index = next(payload, &mut pos)?;
-        let events = next(payload, &mut pos)?;
-        entries.push(SegmentIndexEntry { offset, segment_index, events });
-    }
-    if pos != payload.len() {
-        return Err(CodecError::Truncated);
-    }
-    Ok((dict_offsets, entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,6 +574,28 @@ mod tests {
         let reader = SegmentReader::new(bytes.as_slice()).expect("header");
         let segments: Result<Vec<_>, _> = reader.collect();
         assert_eq!(segments.expect("decode").len(), 4);
+    }
+
+    #[test]
+    fn reused_segment_buffer_is_fully_overwritten() {
+        let bytes = sample_file(2);
+        let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
+        let mut reused = TraceSegment::with_index(99);
+        reused.push_ros(RosEvent::new(
+            Nanos::from_nanos(1),
+            Pid::new(1),
+            RosPayload::SyncSubscribe,
+        ));
+        for i in 0..2 {
+            assert!(reader.read_segment_into(&mut reused).expect("read"));
+            assert_eq!(
+                reused,
+                sample_segment(i, (i as u64 + 1) * 100),
+                "stale contents must not survive"
+            );
+        }
+        assert!(!reader.read_segment_into(&mut reused).expect("read"));
+        assert!(reused.is_empty(), "the index frame leaves the buffer cleared");
     }
 
     #[test]
@@ -896,32 +687,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_file_serves_random_access() {
-        let bytes = sample_file(5);
-        let mut file = IndexedSegmentFile::new(io::Cursor::new(&bytes)).expect("open");
-        assert_eq!(file.len(), 5);
-        assert!(!file.is_empty());
-        assert_eq!(file.topics().len(), 1);
-        for e in file.entries() {
-            assert_eq!(e.events, 3);
-        }
-        // Out-of-order access.
-        for i in [4usize, 0, 2] {
-            let seg = file.read_segment(i).expect("read");
-            assert_eq!(seg, sample_segment(i, (i as u64 + 1) * 100));
-        }
-    }
-
-    #[test]
     fn boundary_truncation_is_missing_index() {
         let bytes = sample_file(2);
         // Cut the file right after the last segment frame: every frame left
-        // is intact, so only the missing index frame betrays the loss.
-        let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
-        reader.read_segment().expect("read").expect("seg 0");
-        let consumed = bytes.len(); // recompute via a fresh scan below
-        let _ = consumed;
-        // Find the index frame offset from the trailer and cut there.
+        // is intact, so only the missing index frame betrays the loss. The
+        // trailer holds the index frame's offset.
         let idx =
             u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
         let cut = &bytes[..idx as usize];
@@ -985,22 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_open_requires_finished_file() {
-        let bytes = sample_file(1);
-        let idx =
-            u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
-        let cut = &bytes[..idx as usize];
-        assert!(matches!(
-            IndexedSegmentFile::new(io::Cursor::new(cut)),
-            Err(CodecError::MissingIndex)
-        ));
-        // An unfinished writer's output also lacks the trailer.
-        let mut writer = SegmentWriter::new(Vec::new()).expect("header");
-        writer.write_segment(&sample_segment(0, 10)).expect("segment");
-        // (writer dropped without finish())
-    }
-
-    #[test]
     fn file_backed_round_trip() {
         let root = tmp_root("binary");
         fs::create_dir_all(&root).expect("mkdir");
@@ -1015,8 +769,6 @@ mod tests {
             reader.read_segment().expect("read").expect("seg"),
             sample_segment(0, 10)
         );
-        let mut indexed = IndexedSegmentFile::open(&path).expect("open indexed");
-        assert_eq!(indexed.read_segment(0).expect("read"), sample_segment(0, 10));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -108,9 +108,8 @@ fn intact_file_replays_fully() {
 fn every_truncation_point_is_handled() {
     let file = sample_file();
     let pristine = try_replay(&file).expect("intact file");
-    // The sequential reader stops at the index frame and never consumes
-    // the 16-byte trailer (that is the seekable reader's entry point), so
-    // cuts inside the trailer still replay completely.
+    // The reader stops at the index frame and never consumes the 16-byte
+    // trailer, so cuts inside the trailer still replay completely.
     let trailer_start = file.len() - 16;
     let mut rejected = 0usize;
     for cut in 0..file.len() {
@@ -139,8 +138,9 @@ fn every_truncation_point_is_handled() {
 
 /// Every single-bit flip is either *detected* (typed error) or
 /// *harmless* (the decoded events are identical — flips in the trailer,
-/// which the sequential reader does not consume, and in the reserved
-/// header padding). A flip must never silently alter what is decoded.
+/// which the reader does not consume, and in the reserved header
+/// padding). A flip must never silently alter what is decoded, and the
+/// streaming surface rejects exactly the flips the batch surface does.
 #[test]
 fn every_single_bit_flip_is_detected_or_harmless() {
     let file = sample_file();
@@ -151,7 +151,13 @@ fn every_single_bit_flip_is_detected_or_harmless() {
         for bit in 0..8 {
             let mut mutated = file.clone();
             mutated[byte] ^= 1 << bit;
-            match try_replay(&mutated) {
+            let batch = try_replay(&mutated);
+            assert_eq!(
+                try_replay_streaming(&mutated).is_err(),
+                batch.is_err(),
+                "bit {bit} of byte {byte}: the two decode surfaces disagree"
+            );
+            match batch {
                 Err(_) => detected += 1,
                 Ok(segments) => {
                     assert_eq!(
