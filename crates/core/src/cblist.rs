@@ -114,9 +114,11 @@ impl CbList {
     /// allocation-lean twin of [`CbList::add_instance`] for the streaming
     /// hot path. When the matching entry already exists (the overwhelming
     /// case in a long run), only the new sample is appended: no
-    /// single-element vectors are materialized and the moved `outs` merge
-    /// without cloning. Behaviour is identical to building a one-sample
-    /// [`CallbackRecord`] and calling [`CbList::add_instance`].
+    /// single-element vectors are materialized and the `outs` merge
+    /// without cloning. `outs` is an iterator so the caller can drain a
+    /// buffer it keeps; it is collected only for a new entry. Behaviour
+    /// is identical to building a one-sample [`CallbackRecord`] and
+    /// calling [`CbList::add_instance`].
     #[allow(clippy::too_many_arguments)] // the parts of one instance, hot path
     pub fn fold_instance(
         &mut self,
@@ -124,7 +126,7 @@ impl CbList {
         id: CallbackId,
         kind: CallbackKind,
         in_topic: Option<Arc<str>>,
-        outs: Vec<Arc<str>>,
+        outs: impl IntoIterator<Item = Arc<str>>,
         sync: bool,
         exec: Nanos,
         start: Nanos,
@@ -152,7 +154,7 @@ impl CbList {
                 id,
                 kind,
                 in_topic,
-                out_topics: outs,
+                out_topics: outs.into_iter().collect(),
                 is_sync_subscriber: sync,
                 stats: ExecStats::from_samples([exec]),
                 exec_times: vec![exec],
@@ -298,7 +300,7 @@ mod tests {
                 CallbackId::new(id),
                 kind,
                 in_topic.map(Arc::from),
-                outs.iter().map(|s| Arc::from(*s)).collect(),
+                outs.iter().map(|s| Arc::from(*s)),
                 sync,
                 Nanos::from_millis(ms),
                 Nanos::ZERO,

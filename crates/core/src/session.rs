@@ -27,8 +27,8 @@ use crate::cblist::{CallbackRecord, CbList};
 use crate::dag::Dag;
 use crate::stats::ExecStats;
 use rtms_trace::{
-    CallbackId, CallbackKind, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload, SchedEvent,
-    SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
+    CallbackId, CallbackKind, Nanos, Pid, RosEvent, RosPayload, SchedEvent, SchedEventKind,
+    SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
 };
 use rtms_util::FxHashMap;
 use std::collections::{HashMap, VecDeque};
@@ -88,20 +88,17 @@ impl ExecClock {
         }
     }
 
-    fn finalize(mut self, end: Nanos) -> Nanos {
-        if self.max_time == end {
+    fn finalize(&self, end: Nanos) -> Nanos {
+        let (mut exec, last_start, running) = match self.snapshot {
             // Events at exactly `end` are outside the strict window
             // (Algorithm 2, line 4): roll them back.
-            if let Some((exec, last_start, running)) = self.snapshot {
-                self.exec = exec;
-                self.last_start = last_start;
-                self.running = running;
-            }
+            Some(snapshot) if self.max_time == end => snapshot,
+            _ => (self.exec, self.last_start, self.running),
+        };
+        if running {
+            exec += end.saturating_sub(last_start);
         }
-        if self.running {
-            self.exec += end.saturating_sub(self.last_start);
-        }
-        self.exec
+        exec
     }
 }
 
@@ -111,6 +108,16 @@ impl ExecClock {
 enum OutSlot {
     Ready(Arc<str>),
     AwaitClient { topic: Topic, src_ts: SourceTimestamp },
+}
+
+impl OutSlot {
+    /// The decorated name of a slot known to be resolved.
+    fn into_ready(self) -> Arc<str> {
+        match self {
+            OutSlot::Ready(s) => s,
+            OutSlot::AwaitClient { .. } => unreachable!("folded with unresolved == 0"),
+        }
+    }
 }
 
 /// A callback instance currently being assembled (between its start and
@@ -129,14 +136,16 @@ struct OpenInstance {
 }
 
 impl OpenInstance {
-    fn new(seq: u64, kind: CallbackKind, start: Nanos) -> OpenInstance {
+    /// Opens an instance whose published topics go into `outs`, an empty
+    /// buffer handed over by the node (see [`PidState::spare_outs`]).
+    fn new(seq: u64, kind: CallbackKind, start: Nanos, outs: Vec<OutSlot>) -> OpenInstance {
         OpenInstance {
             seq,
             kind,
             start,
             id: None,
             in_topic: None,
-            outs: Vec::new(),
+            outs,
             unresolved: 0,
             sync: false,
             clock: ExecClock::new(start),
@@ -169,11 +178,38 @@ struct PidState {
     /// callback start — what `FindCaller`'s backward scan would find.
     last_identity: Option<CallbackId>,
     /// Response observations of this node awaiting its next
-    /// `take_type_erased_response` dispatch decision: `(srcTS, topic,
-    /// observation index)`.
-    awaiting_dispatch: Vec<(SourceTimestamp, Topic, usize)>,
+    /// `take_type_erased_response` dispatch decision.
+    awaiting_dispatch: Vec<AwaitingDispatch>,
     pending: VecDeque<PendingInstance>,
     list: CbList,
+    /// An empty `outs` buffer for the node's next instance: taken at
+    /// callback start and returned once the instance is folded or dropped,
+    /// so a steady-state instance allocates nothing.
+    spare_outs: Vec<OutSlot>,
+}
+
+impl PidState {
+    /// Returns an instance's `outs` buffer to the node, keeping the larger
+    /// of it and the current spare.
+    fn recycle(&mut self, mut outs: Vec<OutSlot>) {
+        outs.clear();
+        if outs.capacity() > self.spare_outs.capacity() {
+            self.spare_outs = outs;
+        }
+    }
+}
+
+/// A `take_response` observation waiting for its node's dispatch
+/// decision. `opening` names the opening of the response key it was
+/// recorded against: a key can be committed and then re-opened by a later
+/// write with the same `(srcTS, topic)`, and a decision must never land
+/// in an opening it did not observe.
+#[derive(Debug)]
+struct AwaitingDispatch {
+    src_ts: SourceTimestamp,
+    topic: Topic,
+    opening: u64,
+    obs: usize,
 }
 
 /// Widest `pid - base` span [`NodeTable`]'s dense vector will grow to
@@ -280,6 +316,8 @@ struct Waiter {
 #[derive(Debug)]
 struct RespState {
     topic: Topic,
+    /// Session-unique stamp of this opening of the key.
+    opening: u64,
     obs: Vec<RespObs>,
     waiters: Vec<Waiter>,
 }
@@ -326,6 +364,8 @@ pub struct SynthesisSession {
     /// [`SynthesisSession::flush`].
     buffer: TraceSegment,
     next_seq: u64,
+    /// Stamp for the next response key opened (see [`AwaitingDispatch`]).
+    next_opening: u64,
     segments_fed: usize,
     events_fed: u64,
     peak_segment_events: usize,
@@ -358,6 +398,7 @@ impl SynthesisSession {
             responses: FxHashMap::default(),
             buffer: TraceSegment::new(),
             next_seq: 0,
+            next_opening: 0,
             segments_fed: 0,
             events_fed: 0,
             peak_segment_events: 0,
@@ -418,13 +459,14 @@ impl SynthesisSession {
     /// Decode is *fused* into the synthesis walk: segment frames store
     /// their records in exactly the merged chronological order the walker
     /// consumes, so each event goes codec → state machine with no
-    /// intermediate segment buffer, no re-sort, and no cursor merge.
-    /// Replay memory is one frame buffer, and the
-    /// per-event cost is decode plus the same `on_ros`/`on_sched` work
-    /// the live path does. Feeding a reader positioned at the
-    /// start of a file recorded by `Ros2World::record_segments` yields a
-    /// model byte-identical to the live run's (pinned by the
-    /// record-replay equivalence suite).
+    /// intermediate segment buffer, no re-sort, and no cursor merge. The
+    /// reader lends each record from its reusable decode slots, and the
+    /// walker borrows it exactly as `feed_segment` does. Replay memory is
+    /// one frame buffer plus the slots, and the per-event cost is decode
+    /// plus the same `on_ros`/`on_sched` work the live path does. Feeding
+    /// a reader positioned at the start of a file recorded by
+    /// `Ros2World::record_segments` yields a model byte-identical to the
+    /// live run's (pinned by the record-replay equivalence suite).
     ///
     /// # Errors
     ///
@@ -435,10 +477,7 @@ impl SynthesisSession {
     ) -> Result<usize, rtms_trace::CodecError> {
         let mut segments = 0;
         loop {
-            let result = reader.next_segment_events(|event| match event {
-                OwnedSegmentEvent::Ros(e) => self.on_ros_owned(e),
-                OwnedSegmentEvent::Sched(e) => self.on_sched(&e),
-            })?;
+            let result = reader.next_segment_events(|event| self.on_event(event))?;
             match result {
                 Some((_, len)) => {
                     // The event count is only known once the frame is
@@ -496,25 +535,17 @@ impl SynthesisSession {
     fn feed_cursor(&mut self, cursor: SegmentCursor<'_>, len: usize) {
         self.begin_feed(len);
         for event in cursor {
-            match event {
-                SegmentEvent::Ros(e) => self.on_ros(e),
-                SegmentEvent::Sched(e) => self.on_sched(e),
-            }
+            self.on_event(event);
         }
         self.end_feed(len);
     }
 
-    /// By-value twin of [`SynthesisSession::on_ros`]: the only payload the
-    /// by-ref walker has to copy is the P1 node name, so take ownership of
-    /// that one here and borrow for everything else.
-    fn on_ros_owned(&mut self, e: RosEvent) {
-        if let RosPayload::NodeInit { node_name } = e.payload {
-            if self.names.get(&e.pid) != Some(&node_name) {
-                Arc::make_mut(&mut self.names).insert(e.pid, node_name);
-            }
-            return;
+    #[inline]
+    fn on_event(&mut self, event: SegmentEvent<'_>) {
+        match event {
+            SegmentEvent::Ros(e) => self.on_ros(e),
+            SegmentEvent::Sched(e) => self.on_sched(e),
         }
-        self.on_ros(&e);
     }
 
     fn on_ros(&mut self, e: &RosEvent) {
@@ -530,7 +561,13 @@ impl SynthesisSession {
                 self.next_seq += 1;
                 let st = self.nodes.entry(pid);
                 st.last_identity = None;
-                st.wip = Some(OpenInstance::new(seq, *kind, e.time));
+                let mut outs = match st.wip.as_mut() {
+                    // Started again before it ended: reuse its buffer.
+                    Some(w) => std::mem::take(&mut w.outs),
+                    None => std::mem::take(&mut st.spare_outs),
+                };
+                outs.clear();
+                st.wip = Some(OpenInstance::new(seq, *kind, e.time, outs));
             }
             RosPayload::TimerCall { callback } => {
                 let st = self.nodes.entry(pid);
@@ -567,17 +604,22 @@ impl SynthesisSession {
                 // Record the observation under its response key (the key
                 // exists iff the traced response write is waiting on it)
                 // and queue it for this node's next dispatch decision.
-                let mut obs_idx = None;
+                let mut observed = None;
                 if let Some(states) = self.responses.get_mut(src_ts) {
                     if let Some(rs) = states.iter_mut().find(|r| &r.topic == topic) {
                         rs.obs.push(RespObs { callback: *callback, dispatch: None });
-                        obs_idx = Some(rs.obs.len() - 1);
+                        observed = Some((rs.opening, rs.obs.len() - 1));
                     }
                 }
                 let st = self.nodes.entry(pid);
                 st.last_identity = Some(*callback);
-                if let Some(i) = obs_idx {
-                    st.awaiting_dispatch.push((*src_ts, topic.clone(), i));
+                if let Some((opening, obs)) = observed {
+                    st.awaiting_dispatch.push(AwaitingDispatch {
+                        src_ts: *src_ts,
+                        topic: topic.clone(),
+                        opening,
+                        obs,
+                    });
                 }
                 if let Some(w) = st.wip.as_mut() {
                     w.id = Some(*callback);
@@ -586,21 +628,32 @@ impl SynthesisSession {
             }
             RosPayload::DdsWrite { topic, src_ts } => self.on_write(pid, topic, *src_ts),
             RosPayload::ClientDispatch { will_dispatch } => {
-                let awaiting = {
+                let mut awaiting = {
                     let st = self.nodes.entry(pid);
                     if !*will_dispatch {
-                        st.wip = None; // instance will not be dispatched (line 25)
+                        // The instance will not be dispatched (line 25).
+                        if let Some(dropped) = st.wip.take() {
+                            st.recycle(dropped.outs);
+                        }
                     }
                     std::mem::take(&mut st.awaiting_dispatch)
                 };
-                for (src_ts, topic, obs_idx) in awaiting {
-                    if let Some(states) = self.responses.get_mut(&src_ts) {
-                        if let Some(rs) = states.iter_mut().find(|r| r.topic == topic) {
-                            rs.obs[obs_idx].dispatch = Some(*will_dispatch);
-                        }
-                    }
-                    self.try_commit_response(src_ts, &topic);
+                for a in awaiting.drain(..) {
+                    // A key committed since the observation (and perhaps
+                    // re-opened by a later write) no longer needs it.
+                    let Some(rs) = self
+                        .responses
+                        .get_mut(&a.src_ts)
+                        .and_then(|states| states.iter_mut().find(|r| r.topic == a.topic))
+                        .filter(|rs| rs.opening == a.opening)
+                    else {
+                        continue;
+                    };
+                    rs.obs[a.obs].dispatch = Some(*will_dispatch);
+                    self.try_commit_response(a.src_ts, &a.topic);
                 }
+                // Hand the drained buffer back for the node's next takes.
+                self.nodes.entry(pid).awaiting_dispatch = awaiting;
             }
             RosPayload::SyncSubscribe => {
                 if let Some(w) = self.nodes.entry(pid).wip.as_mut() {
@@ -609,18 +662,36 @@ impl SynthesisSession {
             }
             RosPayload::CallbackEnd { .. } => {
                 let st = self.nodes.entry(pid);
-                let Some(w) = st.wip.take() else { return };
-                let Some(id) = w.id else { return }; // unidentifiable instance
+                // Closed through a borrow: moving the whole instance out of
+                // its slot would copy it.
+                let Some(w) = st.wip.as_mut() else { return };
+                let mut outs = std::mem::take(&mut w.outs);
+                let in_topic = w.in_topic.take();
                 let exec = w.clock.finalize(e.time);
+                let (seq, id, kind, sync, start) = (w.seq, w.id, w.kind, w.sync, w.start);
+                let unresolved = w.unresolved;
+                st.wip = None;
+                let Some(id) = id else {
+                    st.recycle(outs); // unidentifiable instance
+                    return;
+                };
+                if unresolved == 0 && st.pending.is_empty() {
+                    // Nothing to wait for and nothing ahead of it in
+                    // completion order: fold straight into the list.
+                    let ready = outs.drain(..).map(OutSlot::into_ready);
+                    st.list.fold_instance(pid, id, kind, in_topic, ready, sync, exec, start);
+                    st.recycle(outs);
+                    return;
+                }
                 st.pending.push_back(PendingInstance {
-                    seq: w.seq,
+                    seq,
                     id,
-                    kind: w.kind,
-                    in_topic: w.in_topic,
-                    outs: w.outs,
-                    unresolved: w.unresolved,
-                    sync: w.sync,
-                    start: w.start,
+                    kind,
+                    in_topic,
+                    outs,
+                    unresolved,
+                    sync,
+                    start,
                     exec,
                 });
                 Self::fold_ready(pid, st);
@@ -660,11 +731,15 @@ impl SynthesisSession {
             let states = self.responses.entry(src_ts).or_default();
             match states.iter_mut().find(|r| &r.topic == topic) {
                 Some(rs) => rs.waiters.push(waiter),
-                None => states.push(RespState {
-                    topic: topic.clone(),
-                    obs: Vec::new(),
-                    waiters: vec![waiter],
-                }),
+                None => {
+                    states.push(RespState {
+                        topic: topic.clone(),
+                        opening: self.next_opening,
+                        obs: Vec::new(),
+                        waiters: vec![waiter],
+                    });
+                    self.next_opening += 1;
+                }
             }
         }
     }
@@ -730,20 +805,15 @@ impl SynthesisSession {
 
     /// Folds fully resolved pending instances into the node's callback
     /// list, strictly in completion order. Everything is moved, not
-    /// cloned, and folding a repeat instance of a known callback touches
-    /// no allocator at all ([`CbList::fold_instance`]).
+    /// cloned, the drained `outs` buffer goes back to the node, and
+    /// folding a repeat instance of a known callback touches no allocator
+    /// at all ([`CbList::fold_instance`]).
     fn fold_ready(pid: Pid, st: &mut PidState) {
         while st.pending.front().is_some_and(|p| p.unresolved == 0) {
-            let p = st.pending.pop_front().expect("checked front");
-            let outs: Vec<Arc<str>> = p
-                .outs
-                .into_iter()
-                .map(|slot| match slot {
-                    OutSlot::Ready(s) => s,
-                    OutSlot::AwaitClient { .. } => unreachable!("unresolved == 0"),
-                })
-                .collect();
-            st.list.fold_instance(pid, p.id, p.kind, p.in_topic, outs, p.sync, p.exec, p.start);
+            let mut p = st.pending.pop_front().expect("checked front");
+            let ready = p.outs.drain(..).map(OutSlot::into_ready);
+            st.list.fold_instance(pid, p.id, p.kind, p.in_topic, ready, p.sync, p.exec, p.start);
+            st.recycle(p.outs);
         }
     }
 
@@ -955,6 +1025,78 @@ mod tests {
         t.push_ros(ros(9, 2, RosPayload::CallbackEnd { kind: CallbackKind::Client }));
         t.sort_by_time();
         t
+    }
+
+    /// A server answers two requests with the same response source
+    /// timestamp. Both clients take the first reply; pid 1's dispatch
+    /// commits the key, and the second reply re-opens it before pid 2's
+    /// (negative) decision about the *first* reply arrives.
+    fn reused_response_trace() -> Trace {
+        let rq = || Topic::service_request("/sv");
+        let rs = || Topic::service_response("/sv");
+        let (service, client) = (CallbackKind::Service, CallbackKind::Client);
+        let reply = || RosPayload::DdsWrite { topic: rs(), src_ts: SourceTimestamp::new(200) };
+        let take = |cb: u64| RosPayload::TakeResponse {
+            callback: CallbackId::new(cb),
+            topic: rs(),
+            src_ts: SourceTimestamp::new(200),
+        };
+        let serve = |src: u64| RosPayload::TakeRequest {
+            callback: CallbackId::new(0x33),
+            topic: rq(),
+            src_ts: SourceTimestamp::new(src),
+        };
+        let mut t = Trace::new();
+        t.push_ros(ros(1, 3, RosPayload::CallbackStart { kind: service }));
+        t.push_ros(ros(1, 3, serve(100)));
+        t.push_ros(ros(2, 3, reply()));
+        t.push_ros(ros(2, 3, RosPayload::CallbackEnd { kind: service }));
+        t.push_ros(ros(3, 1, RosPayload::CallbackStart { kind: client }));
+        t.push_ros(ros(3, 1, take(0x21)));
+        t.push_ros(ros(4, 2, RosPayload::CallbackStart { kind: client }));
+        t.push_ros(ros(4, 2, take(0x22)));
+        t.push_ros(ros(5, 1, RosPayload::ClientDispatch { will_dispatch: true }));
+        t.push_ros(ros(6, 1, RosPayload::CallbackEnd { kind: client }));
+        t.push_ros(ros(7, 3, RosPayload::CallbackStart { kind: service }));
+        t.push_ros(ros(7, 3, serve(101)));
+        t.push_ros(ros(8, 3, reply()));
+        t.push_ros(ros(8, 3, RosPayload::CallbackEnd { kind: service }));
+        t.push_ros(ros(9, 2, RosPayload::ClientDispatch { will_dispatch: false }));
+        t.push_ros(ros(10, 2, RosPayload::CallbackEnd { kind: client }));
+        t
+    }
+
+    #[test]
+    fn reused_response_src_ts_never_lands_in_a_later_opening() {
+        let trace = reused_response_trace();
+        for per_segment in [trace.len(), 1] {
+            let mut session = SynthesisSession::new();
+            for seg in split_by_events(&trace, per_segment) {
+                session.feed_segment(&seg);
+            }
+            let lists = session.callback_lists();
+            let list_of = |pid: u32| {
+                let found = lists.iter().find(|(p, _)| *p == Pid::new(pid));
+                found.map(|(_, list)| list.clone()).unwrap_or_default()
+            };
+            for pid in [1, 2] {
+                let oracle = crate::extract_callbacks(Pid::new(pid), &trace);
+                assert_eq!(list_of(pid), oracle, "pid {pid}, {per_segment} events per segment");
+            }
+            // The first reply went to pid 1's client. Nobody took the
+            // second, so its client stays unknown. The batch oracle looks
+            // up takes without regard to time and credits the first
+            // reply's dispatch to both writes.
+            let server = list_of(3);
+            assert_eq!(server.len(), 1);
+            let sv = &server.entries()[0];
+            assert_eq!(sv.stats.count(), 2);
+            let (first, second) = ("/svReply#cb:0x21", "/svReply#unknown");
+            assert_eq!(sv.out_topics, [Arc::from(first), Arc::from(second)]);
+            let oracle = crate::extract_callbacks(Pid::new(3), &trace);
+            assert_eq!(oracle.entries()[0].out_topics, [Arc::from("/svReply#cb:0x21")]);
+            assert_eq!(session.model().vertices().len(), 2);
+        }
     }
 
     #[test]

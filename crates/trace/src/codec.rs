@@ -39,7 +39,7 @@
 use crate::event::{CallbackKind, RosEvent, RosPayload};
 use crate::ids::{CallbackId, Cpu, Pid, Priority};
 use crate::sched_event::{SchedEvent, SchedEventKind, ThreadState};
-use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
+use crate::sink::{EventSink, SegmentEvent, TraceSegment};
 use crate::time::Nanos;
 use crate::topic::{SourceTimestamp, Topic, TopicKind};
 use rtms_util::{varint, FxHashMap};
@@ -454,24 +454,124 @@ impl SegmentHeader {
 /// so each stream comes back exactly as it went in.
 pub fn decode_segment(payload: &[u8], dict: &[Arc<str>]) -> Result<TraceSegment, CodecError> {
     let mut segment = TraceSegment::new();
-    let (index, _) = decode_segment_events(payload, dict, |event| match event {
-        OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
-        OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
-    })?;
+    let (index, _) =
+        decode_segment_events(payload, dict, &mut DecodeSlots::new(), |event| match event {
+            SegmentEvent::Ros(e) => segment.push_ros(e.clone()),
+            SegmentEvent::Sched(e) => segment.push_sched(e.clone()),
+        })?;
     segment.set_index(index);
     Ok(segment)
+}
+
+/// Reusable decode targets for the records that carry a topic
+/// (`take_*` and `dds_write`): one [`RosEvent`] per (record tag, topic
+/// reference) pair, created the first time that shape is decoded and
+/// overwritten in place by every later record of the same shape.
+///
+/// A slot's topic shares the dictionary's `Arc`, cloned once when the
+/// slot is created, so a streamed record costs no reference-count
+/// traffic. Slots are created only for topic references that passed the
+/// dictionary checks, so the table is bounded by the dictionary no matter
+/// what the input holds. A slot whose topic is not the dictionary's
+/// current entry (a table reused with another dictionary) is rebuilt, so
+/// a stale name can never be handed out.
+#[derive(Debug, Default)]
+pub struct DecodeSlots {
+    /// Indexed by `topic reference * 4 + tag family`.
+    events: Vec<Option<RosEvent>>,
+}
+
+impl DecodeSlots {
+    /// Creates an empty slot table.
+    pub fn new() -> DecodeSlots {
+        DecodeSlots::default()
+    }
+
+    /// The slot of a fully parsed topic record, holding that record's
+    /// fields. `callback` is ignored for `dds_write`, which carries none.
+    #[inline]
+    fn fill(
+        &mut self,
+        tag: u8,
+        topic: TopicRef<'_>,
+        time: Nanos,
+        pid: Pid,
+        callback: CallbackId,
+        src_ts: SourceTimestamp,
+    ) -> &RosEvent {
+        let family = match tag {
+            TAG_TAKE_DATA => 0,
+            TAG_TAKE_REQUEST => 1,
+            TAG_TAKE_RESPONSE => 2,
+            _ => 3,
+        };
+        let i = topic.raw as usize * 4 + family;
+        if i >= self.events.len() {
+            self.events.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.events[i];
+        let reused =
+            slot.as_mut().is_some_and(|e| overwrite(e, topic.name, time, pid, callback, src_ts));
+        if !reused {
+            let t = Topic::from_raw_parts(Arc::clone(topic.name), topic.kind);
+            let payload = match tag {
+                TAG_TAKE_DATA => RosPayload::TakeData { callback, topic: t, src_ts },
+                TAG_TAKE_REQUEST => RosPayload::TakeRequest { callback, topic: t, src_ts },
+                TAG_TAKE_RESPONSE => RosPayload::TakeResponse { callback, topic: t, src_ts },
+                _ => RosPayload::DdsWrite { topic: t, src_ts },
+            };
+            *slot = Some(RosEvent { time, pid, payload });
+        }
+        slot.as_ref().expect("filled above")
+    }
+}
+
+/// Overwrites a slot's per-record fields, if its topic is `name`.
+#[inline]
+fn overwrite(
+    e: &mut RosEvent,
+    name: &Arc<str>,
+    time: Nanos,
+    pid: Pid,
+    callback: CallbackId,
+    src_ts: SourceTimestamp,
+) -> bool {
+    match &mut e.payload {
+        RosPayload::TakeData { callback: c, topic, src_ts: s }
+        | RosPayload::TakeRequest { callback: c, topic, src_ts: s }
+        | RosPayload::TakeResponse { callback: c, topic, src_ts: s }
+            if Arc::ptr_eq(topic.name_arc(), name) =>
+        {
+            *c = callback;
+            *s = src_ts;
+        }
+        RosPayload::DdsWrite { topic, src_ts: s } if Arc::ptr_eq(topic.name_arc(), name) => {
+            *s = src_ts;
+        }
+        _ => return false,
+    }
+    e.time = time;
+    e.pid = pid;
+    true
 }
 
 /// Streaming decode of a segment frame payload: invokes `f` with each
 /// record, in on-disk (merged chronological) order, without materializing
 /// a [`TraceSegment`]. Returns the segment's run index and event count.
 ///
+/// Records are lent, not handed over: topic-carrying records live in
+/// `slots` (see [`DecodeSlots`]) and the rest on the stack, so `f` must
+/// clone whatever it keeps. A record that fails to parse never reaches
+/// `f`, and leaves every slot as it was.
+///
 /// This is the replay hot path: `SynthesisSession::feed_reader` fuses
 /// this walk directly into the synthesis state machine, so a replayed
-/// file costs one decode pass and zero intermediate event buffers.
-pub fn decode_segment_events<F: FnMut(OwnedSegmentEvent)>(
+/// file costs one decode pass, zero intermediate event buffers and no
+/// per-record reference counting (only a P1 node name allocates).
+pub fn decode_segment_events<F: FnMut(SegmentEvent<'_>)>(
     payload: &[u8],
     dict: &[Arc<str>],
+    slots: &mut DecodeSlots,
     mut f: F,
 ) -> Result<(usize, usize), CodecError> {
     let mut r = ByteReader::new(payload);
@@ -479,33 +579,20 @@ pub fn decode_segment_events<F: FnMut(OwnedSegmentEvent)>(
     let mut prev = Nanos::from_nanos(0);
     let mut ros_seen = 0u64;
     for _ in 0..header.total() {
-        let event = decode_event(&mut r, &mut prev, dict)?;
-        if matches!(event, OwnedSegmentEvent::Ros(_)) {
-            ros_seen += 1;
+        // The tag byte's family range routes the record to its stream.
+        match r.peek() {
+            Some(t) if t < TAG_SCHED_SWITCH => {
+                decode_ros_event(&mut r, &mut prev, dict, slots, &mut f)?;
+                ros_seen += 1;
+            }
+            Some(_) => f(SegmentEvent::Sched(&decode_sched_event(&mut r, &mut prev)?)),
+            None => return Err(CodecError::Truncated),
         }
-        f(event);
     }
     if ros_seen != header.ros_count || !r.is_empty() {
         return Err(CodecError::Truncated);
     }
     Ok((header.index as usize, header.total() as usize))
-}
-
-/// Decodes one interleaved record, routing on the tag byte's family
-/// range.
-#[inline]
-fn decode_event(
-    r: &mut ByteReader<'_>,
-    prev: &mut Nanos,
-    dict: &[Arc<str>],
-) -> Result<OwnedSegmentEvent, CodecError> {
-    match r.peek() {
-        Some(t) if t < TAG_SCHED_SWITCH => {
-            decode_ros_event(r, prev, dict).map(OwnedSegmentEvent::Ros)
-        }
-        Some(_) => decode_sched_event(r, prev).map(OwnedSegmentEvent::Sched),
-        None => Err(CodecError::Truncated),
-    }
 }
 
 #[inline]
@@ -519,8 +606,20 @@ fn encode_topic(topic: &Topic, dict: &mut TopicInterner, out: &mut Vec<u8>) {
     varint::write_u64(out, (id << 2) | kind);
 }
 
+/// A checked topic reference: the raw wire value, its kind, and the
+/// dictionary entry it names.
+#[derive(Clone, Copy)]
+struct TopicRef<'d> {
+    raw: u64,
+    kind: TopicKind,
+    name: &'d Arc<str>,
+}
+
 #[inline]
-fn decode_topic(r: &mut ByteReader<'_>, dict: &[Arc<str>]) -> Result<Topic, CodecError> {
+fn decode_topic<'d>(
+    r: &mut ByteReader<'_>,
+    dict: &'d [Arc<str>],
+) -> Result<TopicRef<'d>, CodecError> {
     let raw = r.varint()?;
     let kind = match raw & 0b11 {
         KIND_PLAIN => TopicKind::Plain,
@@ -531,7 +630,7 @@ fn decode_topic(r: &mut ByteReader<'_>, dict: &[Arc<str>]) -> Result<Topic, Code
     let name = dict
         .get((raw >> 2) as usize)
         .ok_or(CodecError::BadTopicRef(raw))?;
-    Ok(Topic::from_raw_parts(Arc::clone(name), kind))
+    Ok(TopicRef { raw, kind, name })
 }
 
 /// Writes `time` as a ZigZag delta from `*prev`, then advances `*prev`.
@@ -597,12 +696,16 @@ pub fn encode_ros_event(e: &RosEvent, prev: &mut Nanos, dict: &mut TopicInterner
     }
 }
 
-/// Decodes one ROS2 event record.
-fn decode_ros_event(
+/// Decodes one ROS2 event record and lends it to `f`: topic-carrying
+/// records from their slot, the rest from the stack.
+#[inline]
+fn decode_ros_event<F: FnMut(SegmentEvent<'_>)>(
     r: &mut ByteReader<'_>,
     prev: &mut Nanos,
     dict: &[Arc<str>],
-) -> Result<RosEvent, CodecError> {
+    slots: &mut DecodeSlots,
+    f: &mut F,
+) -> Result<(), CodecError> {
     let tag = r.u8()?;
     let time = decode_time_delta(r, prev)?;
     let pid = Pid::new(r.varint_u32()?);
@@ -628,11 +731,8 @@ fn decode_ros_event(
             let callback = CallbackId::new(r.varint()?);
             let topic = decode_topic(r, dict)?;
             let src_ts = SourceTimestamp::new(r.varint()?);
-            match tag {
-                TAG_TAKE_DATA => RosPayload::TakeData { callback, topic, src_ts },
-                TAG_TAKE_REQUEST => RosPayload::TakeRequest { callback, topic, src_ts },
-                _ => RosPayload::TakeResponse { callback, topic, src_ts },
-            }
+            f(SegmentEvent::Ros(slots.fill(tag, topic, time, pid, callback, src_ts)));
+            return Ok(());
         }
         TAG_SYNC_SUBSCRIBE => RosPayload::SyncSubscribe,
         TAG_CLIENT_DISPATCH => RosPayload::ClientDispatch { will_dispatch: false },
@@ -640,11 +740,14 @@ fn decode_ros_event(
         TAG_DDS_WRITE => {
             let topic = decode_topic(r, dict)?;
             let src_ts = SourceTimestamp::new(r.varint()?);
-            RosPayload::DdsWrite { topic, src_ts }
+            let no_callback = CallbackId::new(0);
+            f(SegmentEvent::Ros(slots.fill(tag, topic, time, pid, no_callback, src_ts)));
+            return Ok(());
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    Ok(RosEvent { time, pid, payload })
+    f(SegmentEvent::Ros(&RosEvent { time, pid, payload }));
+    Ok(())
 }
 
 /// Encodes one scheduler event record.
@@ -941,6 +1044,61 @@ mod tests {
         payload.push(0x00);
         let dict: Vec<Arc<str>> = dict.entries().to_vec();
         assert!(matches!(decode_segment(&payload, &dict), Err(CodecError::Truncated)));
+    }
+
+    #[test]
+    fn slot_is_reused_and_a_cut_record_never_reaches_the_callback() {
+        // Three records of one shape (same tag, same topic): the first two
+        // differ in every per-record field, the third is cut off after its
+        // topic reference, so only its source timestamp is missing.
+        let topic = Topic::plain("/t");
+        let take = |ms: u64, pid: u32, cb: u64, src: u64| {
+            RosEvent::new(
+                Nanos::from_nanos(ms),
+                Pid::new(pid),
+                RosPayload::TakeData {
+                    callback: CallbackId::new(cb),
+                    topic: topic.clone(),
+                    src_ts: SourceTimestamp::new(src),
+                },
+            )
+        };
+        let (first, second) = (take(5, 3, 0x21, 40), take(9, 4, 0x22, 41));
+        let encode = |events: &[RosEvent]| {
+            let mut seg = TraceSegment::new();
+            for e in events {
+                seg.push_ros(e.clone());
+            }
+            let mut dict = TopicInterner::new();
+            let mut payload = Vec::new();
+            encode_segment(&seg, &mut dict, &mut payload);
+            (payload, dict.entries().to_vec())
+        };
+        let (two, _) = encode(&[first.clone(), second.clone()]);
+        let (mut payload, dict) = encode(&[first.clone(), second.clone(), take(12, 5, 0x23, 42)]);
+        // Every field of the third record is one byte: tag, time delta,
+        // pid, callback, topic reference, source timestamp. The header has
+        // the same length either way, so the third record starts where
+        // the two-record payload ends.
+        assert_eq!(payload.len(), two.len() + 6);
+        payload.pop();
+
+        let mut slots = DecodeSlots::new();
+        let mut seen = Vec::new();
+        let err = decode_segment_events(&payload, &dict, &mut slots, |e| match e {
+            SegmentEvent::Ros(e) => seen.push(e.clone()),
+            SegmentEvent::Sched(_) => unreachable!("no scheduler records"),
+        })
+        .expect_err("the third record is cut");
+        assert!(matches!(err, CodecError::BadVarint), "got {err:?}");
+        assert_eq!(seen, [first, second.clone()], "each record lent with its own fields");
+        for e in &seen {
+            let RosPayload::TakeData { topic, .. } = &e.payload else { unreachable!() };
+            assert!(Arc::ptr_eq(topic.name_arc(), &dict[0]), "slot shares the dictionary entry");
+        }
+        let filled: Vec<&RosEvent> = slots.events.iter().flatten().collect();
+        assert_eq!(filled, [&second], "one slot for the shape, untouched by the cut record");
+        assert!(matches!(decode_segment(&payload, &dict), Err(CodecError::BadVarint)));
     }
 
     #[test]

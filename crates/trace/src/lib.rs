@@ -45,9 +45,7 @@ pub use event::{CallbackKind, RosEvent, RosPayload};
 pub use ids::{CallbackId, Cpu, Pid, Priority};
 pub use probe::{Probe, ProbeAttachment, ProbeSpec, PROBE_CATALOG};
 pub use sched_event::{SchedEvent, SchedEventKind, ThreadState};
-pub use sink::{
-    split_by_events, EventSink, OwnedSegmentEvent, SegmentCursor, SegmentEvent, TraceSegment,
-};
+pub use sink::{split_by_events, EventSink, SegmentCursor, SegmentEvent, TraceSegment};
 pub use store::{
     SegmentFileStats, SegmentReader, SegmentWriter, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION,
     SEGMENT_TRAILER_MAGIC,

@@ -319,26 +319,6 @@ impl<'a> Iterator for SegmentCursor<'a> {
     }
 }
 
-/// One owned event of either stream, by value — what the codec's fused
-/// decode hands its consumer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedSegmentEvent {
-    /// A ROS2 middleware event.
-    Ros(RosEvent),
-    /// A kernel scheduler event.
-    Sched(SchedEvent),
-}
-
-impl OwnedSegmentEvent {
-    /// The event's timestamp.
-    pub fn time(&self) -> Nanos {
-        match self {
-            OwnedSegmentEvent::Ros(e) => e.time,
-            OwnedSegmentEvent::Sched(e) => e.time,
-        }
-    }
-}
-
 /// Re-segments a trace into chunks of at most `events_per_segment` events,
 /// walking both streams chronologically.
 ///

@@ -10,8 +10,8 @@
 //! disk through the [`crate::EventSink`] impl, and a synthesis session
 //! can replay straight from the reader at far beyond collection speed.
 
-use crate::codec::{self, CodecError, TopicInterner};
-use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
+use crate::codec::{self, CodecError, DecodeSlots, TopicInterner};
+use crate::sink::{EventSink, SegmentEvent, TraceSegment};
 use crate::{RosEvent, SchedEvent};
 use serde::Serialize;
 use std::fs;
@@ -315,6 +315,9 @@ impl<W: Write> EventSink for SegmentWriter<W> {
 pub struct SegmentReader<R: Read> {
     inner: R,
     dict: Vec<Arc<str>>,
+    /// Decode targets for topic-carrying records, one per (tag, dictionary
+    /// reference) seen in this file.
+    slots: DecodeSlots,
     payload: Vec<u8>,
     meta: Option<String>,
     finished: bool,
@@ -355,6 +358,7 @@ impl<R: Read> SegmentReader<R> {
         Ok(SegmentReader {
             inner,
             dict: Vec::new(),
+            slots: DecodeSlots::new(),
             payload: Vec::new(),
             meta: None,
             finished: false,
@@ -393,8 +397,8 @@ impl<R: Read> SegmentReader<R> {
     pub fn read_segment_into(&mut self, segment: &mut TraceSegment) -> Result<bool, CodecError> {
         segment.clear();
         let read = self.next_segment_events(|event| match event {
-            OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
-            OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
+            SegmentEvent::Ros(e) => segment.push_ros(e.clone()),
+            SegmentEvent::Sched(e) => segment.push_sched(e.clone()),
         })?;
         let Some((index, _)) = read else { return Ok(false) };
         segment.set_index(index);
@@ -404,15 +408,17 @@ impl<R: Read> SegmentReader<R> {
     /// Streams the next segment's events into `f`, in on-disk (merged
     /// chronological) order, without materializing a [`TraceSegment`] —
     /// the fused decode path `SynthesisSession::feed_reader` replays
-    /// through. Returns the segment's `(run_index, event_count)`, or
-    /// `None` once the index frame is reached.
+    /// through. Each record is *lent* to `f` from the reader's reusable
+    /// decode slots ([`codec::decode_segment_events`]), so `f` clones
+    /// what it keeps. Returns the segment's `(run_index, event_count)`,
+    /// or `None` once the index frame is reached.
     ///
     /// # Errors
     ///
     /// Same failure surface as [`SegmentReader::read_segment`]; events
     /// already handed to `f` before a mid-frame decode error stay
     /// delivered.
-    pub fn next_segment_events<F: FnMut(OwnedSegmentEvent)>(
+    pub fn next_segment_events<F: FnMut(SegmentEvent<'_>)>(
         &mut self,
         f: F,
     ) -> Result<Option<(usize, usize)>, CodecError> {
@@ -430,7 +436,8 @@ impl<R: Read> SegmentReader<R> {
                     self.meta = Some(text.to_string());
                 }
                 FRAME_SEGMENT => {
-                    return codec::decode_segment_events(payload, &self.dict, f).map(Some);
+                    return codec::decode_segment_events(payload, &self.dict, &mut self.slots, f)
+                        .map(Some);
                 }
                 FRAME_INDEX => {
                     self.finished = true;

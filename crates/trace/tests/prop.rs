@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rtms_trace::{
-    split_by_events, CallbackId, CallbackKind, Cpu, Nanos, OwnedSegmentEvent, Pid, Priority,
-    RosEvent, RosPayload, SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic, Trace,
+    split_by_events, CallbackId, CallbackKind, Cpu, Nanos, Pid, Priority, RosEvent, RosPayload,
+    SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic, Trace,
 };
 
 fn arb_nanos() -> impl Strategy<Value = Nanos> {
@@ -70,13 +70,27 @@ fn arb_sched_event() -> impl Strategy<Value = SchedEvent> {
     )
 }
 
-/// Clones a by-ref cursor event into the owned representation, so walks
-/// over different segmentations (and over by-ref vs owned cursors)
-/// compare exactly.
-fn to_owned_event(e: SegmentEvent<'_>) -> OwnedSegmentEvent {
+/// An owned copy of a by-ref cursor event, so walks over different
+/// segmentations compare exactly.
+#[derive(Debug, PartialEq)]
+enum Owned {
+    Ros(RosEvent),
+    Sched(SchedEvent),
+}
+
+impl Owned {
+    fn time(&self) -> Nanos {
+        match self {
+            Owned::Ros(e) => e.time,
+            Owned::Sched(e) => e.time,
+        }
+    }
+}
+
+fn to_owned_event(e: SegmentEvent<'_>) -> Owned {
     match e {
-        SegmentEvent::Ros(r) => OwnedSegmentEvent::Ros(r.clone()),
-        SegmentEvent::Sched(s) => OwnedSegmentEvent::Sched(s.clone()),
+        SegmentEvent::Ros(r) => Owned::Ros(r.clone()),
+        SegmentEvent::Sched(s) => Owned::Sched(s.clone()),
     }
 }
 
@@ -193,7 +207,7 @@ proptest! {
         }
 
         // Reference walk over the unsegmented trace.
-        let reference: Vec<OwnedSegmentEvent> = t.cursor().map(to_owned_event).collect();
+        let reference: Vec<Owned> = t.cursor().map(to_owned_event).collect();
 
         // The walk is chronological; at a shared timestamp every ROS2
         // event precedes every scheduler event.
@@ -201,8 +215,8 @@ proptest! {
             prop_assert!(w[0].time() <= w[1].time());
             if w[0].time() == w[1].time() {
                 prop_assert!(
-                    matches!(w[0], OwnedSegmentEvent::Ros(_))
-                        || !matches!(w[1], OwnedSegmentEvent::Ros(_)),
+                    matches!(w[0], Owned::Ros(_))
+                        || !matches!(w[1], Owned::Ros(_)),
                     "a scheduler event must never precede a ROS2 event at the same timestamp"
                 );
             }
@@ -211,7 +225,7 @@ proptest! {
         // Re-segmentation at any granularity reproduces the identical
         // sequence.
         let segments = split_by_events(&t, per_segment);
-        let walked: Vec<OwnedSegmentEvent> = segments
+        let walked: Vec<Owned> = segments
             .iter()
             .flat_map(|s| s.cursor().map(to_owned_event).collect::<Vec<_>>())
             .collect();
