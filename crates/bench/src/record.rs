@@ -81,9 +81,9 @@ impl RecordMeta {
 }
 
 /// The standard bench world: `apps` generated applications on a 4-CPU
-/// machine, fully determined by `(apps, seed)`. Shared by `perf`,
-/// `record`, and `replay` so a recorded file's live twin is exactly the
-/// world the recording came from.
+/// machine, fully determined by `(apps, seed)`. Shared by `record` and
+/// `replay` so a recorded file's live twin is exactly the world the
+/// recording came from.
 pub fn bench_world(apps: u64, seed: u64) -> Ros2World {
     bench_world_profiled(apps, seed, WorldProfile::Standard)
 }

@@ -21,8 +21,8 @@ pub struct TenantAlert {
     pub alert: Alert,
 }
 
-/// Aggregate metrics of one fleet run, serializable for the experiment
-/// binary's JSON output and the CI perf gate.
+/// Aggregate metrics of one fleet run, serializable for the `fleet`
+/// experiment binary's JSON output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Tenants ingested.

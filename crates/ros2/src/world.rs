@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use rtms_ebpf::{FunctionArgs, FunctionCall, OverheadModel, OverheadReport};
 use rtms_sched::{Affinity, PeriodicLoad, SchedSink, Simulator, SimulatorBuilder};
 use rtms_trace::{
-    CallbackId, CallbackKind, CodecError, EventSink, Nanos, Pid, Priority, SchedEvent,
+    CallbackId, CallbackKind, CodecError, Cpu, EventSink, Nanos, Pid, Priority, SchedEvent,
     SegmentWriter, Topic, Trace, TraceSegment,
 };
 use std::cell::RefCell;
@@ -57,6 +57,15 @@ pub enum WorldError {
         /// The offending probability.
         drop_prob: f64,
     },
+    /// A node's affinity allows none of the machine's cores, so its
+    /// executor could never be scheduled and the node would silently
+    /// drop out of the trace.
+    AffinityOutsideMachine {
+        /// The pinned node.
+        node: String,
+        /// The machine's core count.
+        cpus: usize,
+    },
 }
 
 impl fmt::Display for WorldError {
@@ -85,6 +94,9 @@ impl fmt::Display for WorldError {
             }
             WorldError::BadQosDropProbability { drop_prob } => {
                 write!(f, "QoS drop probability {drop_prob} is outside [0, 1)")
+            }
+            WorldError::AffinityOutsideMachine { node, cpus } => {
+                write!(f, "node {node:?} is pinned to no core of this {cpus}-core machine")
             }
         }
     }
@@ -291,9 +303,10 @@ impl WorldBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`WorldError::NoApps`] if no application was added, or
+    /// Returns [`WorldError::NoApps`] if no application was added,
     /// [`WorldError::DuplicateService`] if two nodes offer the same
-    /// service.
+    /// service, or [`WorldError::AffinityOutsideMachine`] if a node's
+    /// affinity allows none of the machine's cores.
     pub fn build(self) -> Result<Ros2World, WorldError> {
         if self.apps.is_empty() {
             return Err(WorldError::NoApps);
@@ -308,11 +321,18 @@ impl WorldBuilder {
         if self.qos.drop_prob > 0.0 && self.qos.reorder_bound == 0 {
             return Err(WorldError::QosDropOnReliableSpec { drop_prob: self.qos.drop_prob });
         }
-        // Unique service check across the whole world.
+        // Unique service check across the whole world, and every node
+        // must be allowed on at least one of the machine's cores.
         {
             let mut seen = std::collections::HashSet::new();
             for app in &self.apps {
                 for node in &app.nodes {
+                    if !(0..self.cpus.min(64)).any(|c| node.affinity.allows(Cpu::new(c as u16))) {
+                        return Err(WorldError::AffinityOutsideMachine {
+                            node: node.name.clone(),
+                            cpus: self.cpus,
+                        });
+                    }
                     for cb in &node.callbacks {
                         if let CallbackSpec::Service { service, .. } = cb {
                             if !seen.insert(service.clone()) {

@@ -1,9 +1,10 @@
 //! End-to-end tests of the middleware simulator: the event streams it
 //! produces must exhibit exactly the structure Algorithms 1 and 2 rely on.
 
-use rtms_ros2::{AppBuilder, WorkModel, WorldBuilder};
+use rtms_ros2::{AppBuilder, WorkModel, WorldBuilder, WorldError};
+use rtms_sched::Affinity;
 use rtms_trace::{
-    CallbackKind, Nanos, Pid, Probe, RosPayload, Topic, Trace,
+    CallbackKind, Cpu, Nanos, Pid, Probe, RosPayload, Topic, Trace,
 };
 
 fn pipeline_world(seed: u64) -> rtms_ros2::Ros2World {
@@ -337,4 +338,21 @@ fn dds_latency_delays_delivery() {
         .expect("take")
         .time;
     assert!(first_take >= first_write + Nanos::from_millis(5));
+}
+
+#[test]
+fn node_pinned_outside_the_machine_is_rejected() {
+    // Pinned to a core the machine lacks, the timer node would never run
+    // and silently drop out of the model, so the builder refuses it.
+    let pinned = |cpu: u16| {
+        let mut app = AppBuilder::new("pin");
+        let talker = app.node("talker");
+        app.timer(talker, "tick", Nanos::from_millis(100), WorkModel::constant_millis(1.0));
+        app.set_affinity(talker, Affinity::only(Cpu::new(cpu)));
+        WorldBuilder::new(2).app(app.build().expect("valid")).build()
+    };
+    let expected = WorldError::AffinityOutsideMachine { node: "talker".into(), cpus: 2 };
+    assert_eq!(pinned(3).err(), Some(expected));
+    let trace = pinned(1).expect("core 1 exists").trace_run(Nanos::from_secs(1));
+    assert_eq!(trace.ros_events().iter().filter(|e| e.probe() == Probe::P2).count(), 11);
 }
