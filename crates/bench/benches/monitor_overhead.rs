@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rtms_core::SynthesisSession;
 use rtms_monitor::{Baseline, Monitor};
 use rtms_ros2::WorldBuilder;
-use rtms_trace::{Nanos, TraceSegment};
+use rtms_trace::Nanos;
 use rtms_workloads::syn_app;
 use std::hint::black_box;
 
@@ -19,14 +19,11 @@ fn bench_monitor(c: &mut Criterion) {
 
     // Healthy baseline from the first second.
     let mut baseline_session = SynthesisSession::new();
-    world.trace_into(&mut baseline_session, Nanos::from_secs(1));
-    baseline_session.flush();
+    baseline_session.feed_segment(&world.trace_run(Nanos::from_secs(1)));
     let baseline = Baseline::from_dag(&baseline_session.model());
 
     // One observation window's segment, pre-collected.
-    let mut segment = TraceSegment::new();
-    world.trace_into(&mut segment, Nanos::from_millis(500));
-    segment.sort_by_time();
+    let segment = world.trace_run(Nanos::from_millis(500));
     let names = baseline_session.names().clone();
     let window = Nanos::from_millis(500);
     let snapshot = {

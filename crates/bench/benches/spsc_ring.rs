@@ -1,6 +1,6 @@
 //! Segment-handoff throughput: the hand-rolled SPSC ring
 //! (`rtms_util::spsc`) vs `std::sync::mpsc::sync_channel` moving recycled
-//! `TraceSegment` slabs between two threads — the exact transport pattern
+//! trace-segment slabs between two threads — the exact transport pattern
 //! `trace_segments_pipelined` runs (forward data path + reverse free
 //! path), at both granularities the pipeline sees in practice:
 //!
@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use rtms_ros2::WorldBuilder;
-use rtms_trace::{split_by_events, Nanos, TraceSegment};
+use rtms_trace::{split_by_events, Nanos, Trace};
 use rtms_util::spsc;
 use rtms_workloads::syn_app;
 use std::hint::black_box;
@@ -28,12 +28,12 @@ const DATA_SLOTS: usize = 4;
 /// range the harness samples well.
 const MAX_FINE_SEGMENTS: usize = 2048;
 
-fn bench_ring_pass(b: &mut Bencher, segments: &[TraceSegment]) {
+fn bench_ring_pass(b: &mut Bencher, segments: &[Trace]) {
     let total = segments.len();
-    let (mut data_tx, mut data_rx) = spsc::ring::<TraceSegment>(DATA_SLOTS);
+    let (mut data_tx, mut data_rx) = spsc::ring::<Trace>(DATA_SLOTS);
     // Sized to hold every slab at once, so the consumer's hand-back can
     // never block on a full ring.
-    let (mut free_tx, mut free_rx) = spsc::ring::<TraceSegment>(total.max(2 * DATA_SLOTS));
+    let (mut free_tx, mut free_rx) = spsc::ring::<Trace>(total.max(2 * DATA_SLOTS));
     let consumer = std::thread::spawn(move || {
         while let Some(segment) = data_rx.pop_wait() {
             black_box(segment.len());
@@ -43,7 +43,7 @@ fn bench_ring_pass(b: &mut Bencher, segments: &[TraceSegment]) {
         }
     });
     let mut stash = segments.to_vec();
-    let mut returned: Vec<TraceSegment> = Vec::with_capacity(total);
+    let mut returned: Vec<Trace> = Vec::with_capacity(total);
     b.iter(|| {
         for segment in stash.drain(..) {
             while let Some(back) = free_rx.try_pop() {
@@ -65,11 +65,10 @@ fn bench_ring_pass(b: &mut Bencher, segments: &[TraceSegment]) {
 
 /// The same round-trip over `std::sync::mpsc::sync_channel`, the standard
 /// library's bounded channel, as the baseline the ring is judged against.
-fn bench_channel_pass(b: &mut Bencher, segments: &[TraceSegment]) {
+fn bench_channel_pass(b: &mut Bencher, segments: &[Trace]) {
     let total = segments.len();
-    let (data_tx, data_rx) = std::sync::mpsc::sync_channel::<TraceSegment>(DATA_SLOTS);
-    let (free_tx, free_rx) =
-        std::sync::mpsc::sync_channel::<TraceSegment>(total.max(2 * DATA_SLOTS));
+    let (data_tx, data_rx) = std::sync::mpsc::sync_channel::<Trace>(DATA_SLOTS);
+    let (free_tx, free_rx) = std::sync::mpsc::sync_channel::<Trace>(total.max(2 * DATA_SLOTS));
     let consumer = std::thread::spawn(move || {
         while let Ok(segment) = data_rx.recv() {
             black_box(segment.len());
@@ -79,7 +78,7 @@ fn bench_channel_pass(b: &mut Bencher, segments: &[TraceSegment]) {
         }
     });
     let mut stash = segments.to_vec();
-    let mut returned: Vec<TraceSegment> = Vec::with_capacity(total);
+    let mut returned: Vec<Trace> = Vec::with_capacity(total);
     b.iter(|| {
         for segment in stash.drain(..) {
             while let Ok(back) = free_rx.try_recv() {
@@ -102,7 +101,7 @@ fn bench_channel_pass(b: &mut Bencher, segments: &[TraceSegment]) {
 fn bench_spsc_ring(c: &mut Criterion) {
     // Pipeline-granularity segments: 2 s of SYN as 250 ms slabs.
     let mut world = WorldBuilder::new(4).seed(7).app(syn_app(1.0)).build().expect("SYN app");
-    let mut coarse: Vec<TraceSegment> = Vec::new();
+    let mut coarse: Vec<Trace> = Vec::new();
     world.trace_segments_sequential(Nanos::from_secs(2), Nanos::from_millis(250), |s| {
         coarse.push(std::mem::take(s));
     });

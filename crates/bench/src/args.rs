@@ -254,12 +254,6 @@ impl ExperimentArgs {
         self.extra_parsed(key, default)
     }
 
-    /// A binary-specific `f64` key, with a default. An unparsable value is
-    /// a usage error: the process exits with status 2.
-    pub fn extra_f64(&self, key: &str, default: f64) -> f64 {
-        self.extra_parsed(key, default)
-    }
-
     /// A binary-specific free-form string key (e.g. an output path), if
     /// given.
     pub fn extra_string(&self, key: &str) -> Option<String> {
@@ -320,7 +314,6 @@ mod tests {
         let a = ExperimentArgs::from_iter(["apps=3", "load=0.5"], D, &["apps", "load"])
             .expect("ok");
         assert_eq!(a.extra_u64("apps", 1), 3);
-        assert!((a.extra_f64("load", 1.0) - 0.5).abs() < 1e-12);
         assert_eq!(a.extra_u64("nodes", 6), 6);
     }
 

@@ -72,7 +72,7 @@ fn main() {
     // Comparison bookkeeping stays off the timed path: segments are kept
     // by move (no per-event clones inside the e2e window) and the
     // reference trace is assembled afterwards.
-    let mut kept: Vec<rtms_trace::TraceSegment> = Vec::new();
+    let mut kept: Vec<Trace> = Vec::new();
     let mut streaming_synth = 0.0f64;
     let e2e_start = Instant::now();
     world.trace_segments(args.duration(), Nanos::from_millis(segment_ms), |segment| {
@@ -92,7 +92,7 @@ fn main() {
         true => {
             let (mut ros, mut sched) = (Vec::new(), Vec::new());
             for segment in kept {
-                let (r, s) = segment.into_trace().into_events();
+                let (r, s) = segment.into_events();
                 ros.extend(r);
                 sched.extend(s);
             }

@@ -322,15 +322,6 @@ impl Dag {
         (0..self.vertices.len()).map(VertexId)
     }
 
-    /// IDs of vertices belonging to `node`.
-    pub fn vertices_of_node<'a>(&'a self, node: &'a str) -> impl Iterator<Item = VertexId> + 'a {
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(move |(_, v)| v.node == node)
-            .map(|(i, _)| VertexId(i))
-    }
-
     /// Direct successors of a vertex.
     pub fn successors(&self, id: VertexId) -> Vec<VertexId> {
         let mut out: Vec<VertexId> =

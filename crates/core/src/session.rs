@@ -3,8 +3,8 @@
 //! The batch pipeline materializes a whole run as one [`Trace`] and then
 //! synthesizes — which caps run length at available memory. A
 //! [`SynthesisSession`] instead consumes the run as a sequence of bounded
-//! segments ([`rtms_trace::TraceSegment`]) and keeps only *derived* state
-//! between segments:
+//! segments (each a [`Trace`] with its run index) and keeps only
+//! *derived* state between segments:
 //!
 //! - per node, the open callback instance (Algorithm 1's walker state,
 //!   including an online Algorithm 2 execution-time clock) and the
@@ -28,7 +28,7 @@ use crate::dag::Dag;
 use crate::stats::ExecStats;
 use rtms_trace::{
     CallbackId, CallbackKind, Nanos, Pid, RosEvent, RosPayload, SchedEvent, SchedEventKind,
-    SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
+    SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace,
 };
 use rtms_util::FxHashMap;
 use std::collections::{HashMap, VecDeque};
@@ -324,11 +324,11 @@ struct RespState {
 
 /// Incremental synthesis over streamed trace segments.
 ///
-/// Feed segments (or whole traces) in chronological order with
-/// [`SynthesisSession::feed_segment`] / [`SynthesisSession::feed_trace`];
-/// call [`SynthesisSession::model`] at any point for the timing model of
-/// everything fed so far. The session is an [`rtms_trace::EventSink`], so a
-/// running world can drain tracer buffers straight into it.
+/// Two ways in, one per source: [`SynthesisSession::feed_segment`] takes a
+/// trace held in memory (one segment, or a whole run), and
+/// [`SynthesisSession::feed_reader`] replays a recorded segment file. Feed
+/// in chronological order; call [`SynthesisSession::model`] at any point
+/// for the timing model of everything fed so far.
 ///
 /// # Example
 ///
@@ -360,9 +360,6 @@ pub struct SynthesisSession {
     nodes: NodeTable,
     writes: FxHashMap<SourceTimestamp, Vec<WriteEntry>>,
     responses: FxHashMap<SourceTimestamp, Vec<RespState>>,
-    /// Events pushed through the `EventSink` interface, pending a
-    /// [`SynthesisSession::flush`].
-    buffer: TraceSegment,
     next_seq: u64,
     /// Stamp for the next response key opened (see [`AwaitingDispatch`]).
     next_opening: u64,
@@ -396,7 +393,6 @@ impl SynthesisSession {
             nodes: NodeTable::default(),
             writes: FxHashMap::default(),
             responses: FxHashMap::default(),
-            buffer: TraceSegment::new(),
             next_seq: 0,
             next_opening: 0,
             segments_fed: 0,
@@ -406,49 +402,22 @@ impl SynthesisSession {
         }
     }
 
-    /// Consumes everything pushed through the [`rtms_trace::EventSink`]
-    /// interface since the last flush, as one segment. Events pushed via
-    /// the sink are buffered (a drain delivers the ROS2 and scheduler
-    /// streams back to back, not merged), so call this once per drained
-    /// segment — e.g. after `Ros2World::trace_into(&mut session, ..)`.
-    pub fn flush(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let segment = std::mem::take(&mut self.buffer);
-        self.feed_segment(&segment);
-    }
-
     /// The PID → node-name map accumulated so far (seed map plus streamed
     /// P1 events). Clone the `Arc` to share it with later sessions.
     pub fn names(&self) -> &Arc<HashMap<Pid, String>> {
         &self.names
     }
 
-    /// Consumes one trace segment. Events are walked chronologically
-    /// (both streams merged by timestamp); the segment can be dropped
-    /// afterwards — the session retains only derived state.
-    pub fn feed_segment(&mut self, segment: &TraceSegment) {
+    /// Consumes one trace segment (or a whole trace, as one segment).
+    /// Events are walked chronologically (both streams merged by
+    /// timestamp); the segment can be dropped afterwards — the session
+    /// retains only derived state.
+    pub fn feed_segment(&mut self, segment: &Trace) {
         if segment.is_sorted_by_time() {
             self.feed_sorted_slices(segment.ros_events(), segment.sched_events(), segment.len());
         } else {
             self.feed_cursor(segment.cursor(), segment.len());
         }
-    }
-
-    /// Consumes a whole trace as one segment.
-    pub fn feed_trace(&mut self, trace: &Trace) {
-        if trace.is_sorted_by_time() {
-            self.feed_trace_sorted(trace)
-        } else {
-            self.feed_cursor(trace.cursor(), trace.len());
-        }
-    }
-
-    /// Direct two-pointer walk for a trace whose streams are already
-    /// chronologically sorted (see `feed_sorted_slices`).
-    fn feed_trace_sorted(&mut self, trace: &Trace) {
-        self.feed_sorted_slices(trace.ros_events(), trace.sched_events(), trace.len());
     }
 
     /// Replays a recorded segment file into the session: reads every
@@ -942,20 +911,11 @@ impl SynthesisSession {
     }
 }
 
-impl rtms_trace::EventSink for SynthesisSession {
-    fn push_ros(&mut self, event: RosEvent) {
-        rtms_trace::EventSink::push_ros(&mut self.buffer, event);
-    }
-    fn push_sched(&mut self, event: SchedEvent) {
-        rtms_trace::EventSink::push_sched(&mut self.buffer, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synthesis::synthesize;
-    use rtms_trace::{split_by_events, Cpu, EventSink, Priority, ThreadState};
+    use rtms_trace::{split_by_events, Cpu, Priority, ThreadState};
 
     fn ros(ms: u64, pid: u32, payload: RosPayload) -> RosEvent {
         RosEvent::new(Nanos::from_millis(ms), Pid::new(pid), payload)
@@ -1157,12 +1117,12 @@ mod tests {
         // The second segment's switch-out at 20 ms precedes the switch-in
         // at 30 ms that the first segment left open.
         let timer = CallbackKind::Timer;
-        let mut first = TraceSegment::new();
+        let mut first = Trace::new();
         first.push_ros(ros(10, 1, RosPayload::CallbackStart { kind: timer }));
         first.push_ros(ros(10, 1, RosPayload::TimerCall { callback: CallbackId::new(0x11) }));
         first.push_sched(sw(15, 1, 9));
         first.push_sched(sw(30, 9, 1));
-        let mut second = TraceSegment::with_index(1);
+        let mut second = Trace::with_index(1);
         second.push_sched(sw(20, 1, 9));
         second.push_ros(ros(40, 1, RosPayload::CallbackEnd { kind: timer }));
         let mut session = SynthesisSession::new();
@@ -1180,7 +1140,7 @@ mod tests {
         // before segment 0's: its start gap would be negative.
         let (timer, id) = (CallbackKind::Timer, CallbackId::new(0x11));
         let instance = |start: u64, end: u64, index: usize| {
-            let mut seg = TraceSegment::with_index(index);
+            let mut seg = Trace::with_index(index);
             seg.push_ros(ros(start, 1, RosPayload::CallbackStart { kind: timer }));
             seg.push_ros(ros(start, 1, RosPayload::TimerCall { callback: id }));
             seg.push_ros(ros(end, 1, RosPayload::CallbackEnd { kind: timer }));
@@ -1233,12 +1193,12 @@ mod tests {
         );
         let trace = service_trace();
         let mut session = SynthesisSession::with_names(Arc::clone(&names));
-        session.feed_trace(&trace);
+        session.feed_segment(&trace);
         // The stream's P1 events agree with the seed map, so the Arc is
         // still the very same allocation — no copy-on-write happened.
         assert!(Arc::ptr_eq(session.names(), &names));
         let mut later = SynthesisSession::with_names(Arc::clone(session.names()));
-        later.feed_segment(&TraceSegment::new());
+        later.feed_segment(&Trace::new());
         assert!(Arc::ptr_eq(later.names(), &names));
     }
 
@@ -1248,27 +1208,9 @@ mod tests {
         let mut session = SynthesisSession::with_names(Arc::clone(&names));
         let mut trace = Trace::new();
         trace.push_ros(ros(0, 7, RosPayload::NodeInit { node_name: "new".into() }));
-        session.feed_trace(&trace);
+        session.feed_segment(&trace);
         assert!(!Arc::ptr_eq(session.names(), &names));
         assert_eq!(session.names().get(&Pid::new(7)).map(String::as_str), Some("new"));
         assert!(names.is_empty(), "seed map untouched");
-    }
-
-    #[test]
-    fn session_is_an_event_sink_with_flush() {
-        use rtms_trace::EventSink;
-        let trace = service_trace();
-        let mut session = SynthesisSession::new();
-        // Streams arrive back to back, as a tracer drain delivers them.
-        for e in trace.ros_events() {
-            session.push_ros(e.clone());
-        }
-        for e in trace.sched_events() {
-            session.push_sched(e.clone());
-        }
-        session.flush();
-        assert_eq!(session.model(), synthesize(&trace));
-        session.flush(); // idempotent on an empty buffer
-        assert_eq!(session.segments_fed(), 1);
     }
 }

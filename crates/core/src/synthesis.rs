@@ -41,7 +41,7 @@ pub fn node_name_map_shared(trace: &Trace) -> Arc<HashMap<Pid, String>> {
 /// per-node callback lists.
 pub fn synthesize_per_node(trace: &Trace) -> Vec<(Pid, CbList)> {
     let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
+    session.feed_segment(trace);
     session.callback_lists()
 }
 
@@ -60,7 +60,7 @@ pub fn synthesize_per_node(trace: &Trace) -> Vec<(Pid, CbList)> {
 /// ```
 pub fn synthesize(trace: &Trace) -> Dag {
     let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
+    session.feed_segment(trace);
     session.model()
 }
 
@@ -69,7 +69,7 @@ pub fn synthesize(trace: &Trace) -> Dag {
 /// (their P1 events live in an earlier segment).
 pub fn synthesize_with_names(trace: &Trace, names: &HashMap<Pid, String>) -> Dag {
     let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
+    session.feed_segment(trace);
     session.model_with_names(names)
 }
 

@@ -38,13 +38,6 @@ impl OverheadModel {
         }
     }
 
-    /// Overrides the cost parameters.
-    pub fn with_costs(mut self, base: Nanos, per_helper: Nanos) -> Self {
-        self.base_cost = base;
-        self.helper_cost = per_helper;
-        self
-    }
-
     /// Charges one firing of `probe` that performed `helper_calls` helper
     /// invocations; returns the charged cost.
     #[inline]
@@ -134,7 +127,11 @@ mod tests {
 
     #[test]
     fn charges_accumulate() {
-        let mut m = OverheadModel::new().with_costs(Nanos::from_nanos(100), Nanos::from_nanos(10));
+        let mut m = OverheadModel {
+            base_cost: Nanos::from_nanos(100),
+            helper_cost: Nanos::from_nanos(10),
+            ..OverheadModel::new()
+        };
         assert_eq!(m.charge(Probe::P2, 2), Nanos::from_nanos(120));
         m.charge(Probe::P2, 2);
         m.charge(Probe::P16, 0);
@@ -145,7 +142,11 @@ mod tests {
 
     #[test]
     fn report_ratios() {
-        let mut m = OverheadModel::new().with_costs(Nanos::from_micros(1), Nanos::ZERO);
+        let mut m = OverheadModel {
+            base_cost: Nanos::from_micros(1),
+            helper_cost: Nanos::ZERO,
+            ..OverheadModel::new()
+        };
         for _ in 0..1000 {
             m.charge(Probe::SchedSwitch, 0);
         }

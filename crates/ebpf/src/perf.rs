@@ -1,6 +1,6 @@
 //! The perf ring buffer through which probe programs export events.
 
-use rtms_trace::{EventSink, RosEvent, SchedEvent};
+use rtms_trace::{RosEvent, SchedEvent, Trace};
 
 /// A record that can be pushed into a [`PerfBuffer`].
 pub trait PerfRecord: Sized {
@@ -8,17 +8,12 @@ pub trait PerfRecord: Sized {
     /// capacity.
     fn record_size(&self) -> usize;
 
-    /// Routes this record into the matching stream of an [`EventSink`]
-    /// (user space demultiplexing the perf ring by record type). Generic
-    /// over the sink so a drain into a concrete sink monomorphizes to a
-    /// direct call; `S = dyn EventSink` still works.
-    fn sink_into<S: EventSink + ?Sized>(self, sink: &mut S);
-
-    /// Routes a whole batch into the matching stream via the sink's
-    /// `append_*` method — one bulk move instead of per-record dispatch.
-    /// `records` is drained but keeps its allocation, so a perf buffer's
-    /// storage survives the drain and steady state never reallocates.
-    fn sink_batch_into<S: EventSink + ?Sized>(records: &mut Vec<Self>, sink: &mut S);
+    /// Moves a whole batch onto the matching stream of `trace` (user space
+    /// demultiplexing the perf ring by record type) — one bulk move
+    /// instead of per-record dispatch. `records` is drained but keeps its
+    /// allocation, so a perf buffer's storage survives the drain and
+    /// steady state never reallocates.
+    fn append_batch(records: &mut Vec<Self>, trace: &mut Trace);
 }
 
 impl PerfRecord for RosEvent {
@@ -26,12 +21,8 @@ impl PerfRecord for RosEvent {
         self.encoded_size()
     }
 
-    fn sink_into<S: EventSink + ?Sized>(self, sink: &mut S) {
-        sink.push_ros(self);
-    }
-
-    fn sink_batch_into<S: EventSink + ?Sized>(records: &mut Vec<Self>, sink: &mut S) {
-        sink.append_ros(records);
+    fn append_batch(records: &mut Vec<Self>, trace: &mut Trace) {
+        trace.append_ros(records);
     }
 }
 
@@ -40,12 +31,8 @@ impl PerfRecord for SchedEvent {
         self.encoded_size()
     }
 
-    fn sink_into<S: EventSink + ?Sized>(self, sink: &mut S) {
-        sink.push_sched(self);
-    }
-
-    fn sink_batch_into<S: EventSink + ?Sized>(records: &mut Vec<Self>, sink: &mut S) {
-        sink.append_sched(records);
+    fn append_batch(records: &mut Vec<Self>, trace: &mut Trace) {
+        trace.append_sched(records);
     }
 }
 
@@ -59,7 +46,7 @@ impl PerfRecord for SchedEvent {
 /// Storage is a plain `Vec` (not a deque): records only ever arrive at the
 /// back and leave via a full drain, so FIFO order is the vector's own
 /// order, and the batched [`PerfBuffer::drain_into`] can hand the whole
-/// vector to the sink in one move.
+/// vector to the trace in one move.
 ///
 /// # Example
 ///
@@ -138,17 +125,16 @@ impl<T: PerfRecord> PerfBuffer<T> {
         std::mem::take(&mut self.records)
     }
 
-    /// Drains all buffered records in FIFO order directly into an
-    /// [`EventSink`] — the streaming counterpart of [`PerfBuffer::drain`].
+    /// Drains all buffered records in FIFO order directly into a trace
+    /// segment — the streaming counterpart of [`PerfBuffer::drain`].
     ///
     /// The drain is *batched*: the whole record vector is handed to the
-    /// sink's `append_*` method in one call ([`PerfRecord::sink_batch_into`]),
+    /// trace's `append_*` method in one call ([`PerfRecord::append_batch`]),
     /// so a segment drain is a bulk move rather than a per-event loop, and
     /// the buffer's storage comes back with its capacity intact.
-    pub fn drain_into<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
+    pub fn drain_into(&mut self, trace: &mut Trace) {
         self.used_bytes = 0;
-        T::sink_batch_into(&mut self.records, sink);
-        debug_assert!(self.records.is_empty(), "sink must drain the batch");
+        T::append_batch(&mut self.records, trace);
     }
 
     /// Number of buffered records.
@@ -253,7 +239,7 @@ mod tests {
 
     #[test]
     fn drain_into_routes_by_record_type() {
-        use rtms_trace::{Cpu, Priority, SchedEvent, ThreadState, Trace};
+        use rtms_trace::{Cpu, Priority, ThreadState};
         let mut ros_buf = PerfBuffer::new(1 << 10);
         ros_buf.push(ev());
         let mut sched_buf = PerfBuffer::new(1 << 10);
@@ -276,10 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_keeps_fifo_order_into_nonempty_sink() {
-        use rtms_trace::Trace;
-        // The swap fast path only applies to an empty sink; a non-empty
-        // sink must see the records appended after its own, in order.
+    fn drain_into_keeps_fifo_order_into_nonempty_trace() {
+        // The swap fast path only applies to an empty trace; a non-empty
+        // trace must see the records appended after its own, in order.
         let mut trace = Trace::new();
         trace.push_ros(RosEvent::new(
             Nanos::from_nanos(0),

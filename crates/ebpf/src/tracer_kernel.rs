@@ -202,10 +202,10 @@ impl KernelTracer {
         self.perf.drain()
     }
 
-    /// Drains the buffered events directly into an event sink (generic:
-    /// a concrete sink type gets a monomorphized, dispatch-free drain).
-    pub fn drain_segment_into<S: rtms_trace::EventSink + ?Sized>(&mut self, sink: &mut S) {
-        self.perf.drain_into(sink);
+    /// Drains the buffered events directly onto the end of a trace
+    /// segment, in one bulk move.
+    pub fn drain_segment_into(&mut self, segment: &mut rtms_trace::Trace) {
+        self.perf.drain_into(segment);
     }
 
     /// Scheduler events observed by the handler (filtered or not).

@@ -131,11 +131,6 @@ impl Ros2RtTracer {
         self.enabled = false;
     }
 
-    /// Whether the tracer is currently exporting.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Observes a probed middleware function call and exports the
     /// corresponding Table I event (if any).
     pub fn on_function(&mut self, call: &FunctionCall) {
@@ -271,10 +266,10 @@ impl Ros2RtTracer {
         self.perf.drain()
     }
 
-    /// Drains the buffered events directly into an event sink (generic:
-    /// a concrete sink type gets a monomorphized, dispatch-free drain).
-    pub fn drain_segment_into<S: rtms_trace::EventSink + ?Sized>(&mut self, sink: &mut S) {
-        self.perf.drain_into(sink);
+    /// Drains the buffered events directly onto the end of a trace
+    /// segment, in one bulk move.
+    pub fn drain_segment_into(&mut self, segment: &mut rtms_trace::Trace) {
+        self.perf.drain_into(segment);
     }
 
     /// Perf-buffer statistics.

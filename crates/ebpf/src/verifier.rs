@@ -98,12 +98,6 @@ impl Verifier {
         Verifier { instruction_limit: 4096 }
     }
 
-    /// Overrides the instruction limit.
-    pub fn with_instruction_limit(mut self, limit: u32) -> Self {
-        self.instruction_limit = limit;
-        self
-    }
-
     /// Checks one program.
     ///
     /// # Errors
@@ -191,7 +185,7 @@ mod tests {
         let spec = ProgramSpec::new(Probe::P2, AttachPoint::Entry, 10_000);
         assert!(matches!(v.verify(&spec), Err(VerifyError::TooManyInstructions { .. })));
         // A raised limit accepts it.
-        let lax = Verifier::new().with_instruction_limit(1_000_000);
+        let lax = Verifier { instruction_limit: 1_000_000 };
         assert_eq!(lax.verify(&spec), Ok(()));
     }
 

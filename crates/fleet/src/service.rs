@@ -12,7 +12,7 @@ use crate::tenant::TenantDirectory;
 use rtms_core::merge_dag_refs;
 use rtms_monitor::RollupBuilder;
 use rtms_ros2::WorldBuilder;
-use rtms_trace::TraceSegment;
+use rtms_trace::Trace;
 use rtms_util::mpsc::{lanes, LaneReceiver, LaneSender};
 
 /// Simulated CPU count of every tenant world (the `monitoring`
@@ -70,9 +70,9 @@ pub fn run(config: &FleetConfig) -> Result<FleetOutcome, String> {
         data_rx.push(rx);
     }
     // free_tx[s][p]: shard s's slab-return sender toward producer p.
-    let mut free_tx: Vec<Vec<LaneSender<TraceSegment>>> =
+    let mut free_tx: Vec<Vec<LaneSender<Trace>>> =
         (0..config.shards).map(|_| Vec::with_capacity(config.producers)).collect();
-    let mut free_rx: Vec<LaneReceiver<TraceSegment>> = Vec::with_capacity(config.producers);
+    let mut free_rx: Vec<LaneReceiver<Trace>> = Vec::with_capacity(config.producers);
     for _ in 0..config.producers {
         let (txs, rx) = lanes(config.shards, FREE_LANE_SLOTS);
         for (s, tx) in txs.into_iter().enumerate() {
@@ -174,7 +174,7 @@ fn run_producer(
     dir: &TenantDirectory,
     plan: crate::config::SegmentPlan,
     mut txs: Vec<LaneSender<Ingest>>,
-    mut free: LaneReceiver<TraceSegment>,
+    mut free: LaneReceiver<Trace>,
 ) -> Result<(), String> {
     for tenant in dir.tenants_of_producer(p) {
         let (app, preset) = dir.image_of(tenant);

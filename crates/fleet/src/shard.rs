@@ -9,7 +9,7 @@ use crate::report::TenantAlert;
 use crate::tenant::TenantDirectory;
 use rtms_core::{merge_dag_refs, Dag, SynthesisSession};
 use rtms_monitor::{Baseline, BaselineStore, MonitorConfig};
-use rtms_trace::TraceSegment;
+use rtms_trace::Trace;
 use rtms_util::mpsc::{LaneReceiver, LaneSender};
 
 /// One trace segment in flight from a producer to the owning shard.
@@ -22,7 +22,7 @@ pub(crate) struct Ingest {
     pub sent: Instant,
     /// The segment itself, sorted by time (the collector sorts before
     /// handoff).
-    pub seg: TraceSegment,
+    pub seg: Trace,
 }
 
 /// Everything one shard hands back when its ingress drains.
@@ -83,7 +83,7 @@ pub(crate) fn run_shard(
     plan: SegmentPlan,
     monitor: &MonitorConfig,
     mut rx: LaneReceiver<Ingest>,
-    mut free_tx: Vec<LaneSender<TraceSegment>>,
+    mut free_tx: Vec<LaneSender<Trace>>,
 ) -> ShardOutcome {
     let mut runtimes: BTreeMap<usize, TenantRuntime> = BTreeMap::new();
     let mut store = BaselineStore::new(monitor.clone());
@@ -118,8 +118,7 @@ pub(crate) fn run_shard(
         }
         outcome.latencies_us.push(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         if idx + 1 == plan.total_segments {
-            let mut rt = runtimes.remove(&tenant).expect("runtime exists for final segment");
-            rt.session.flush();
+            let rt = runtimes.remove(&tenant).expect("runtime exists for final segment");
             outcome.peak_session_watermark =
                 outcome.peak_session_watermark.max(rt.session.peak_watermark());
             let model = rt.session.model();

@@ -44,15 +44,13 @@
 //! let mut world = WorldBuilder::new(2).seed(1).app(syn_app(1.0)).build()?;
 //! // Healthy phase: capture the baseline from the first second.
 //! let mut session = SynthesisSession::new();
-//! world.trace_into(&mut session, Nanos::from_secs(1));
-//! session.flush();
+//! session.feed_segment(&world.trace_run(Nanos::from_secs(1)));
 //! let baseline = Baseline::from_dag(&session.model());
 //! let mut monitor = Monitor::new(baseline);
 //!
 //! // Watch phase: feed per-window snapshots (here: one more window).
 //! let mut window = SynthesisSession::with_names(session.names().clone());
-//! world.trace_into(&mut window, Nanos::from_secs(1));
-//! window.flush();
+//! window.feed_segment(&world.trace_run(Nanos::from_secs(1)));
 //! let alerts = monitor.observe(&window.model(), Nanos::from_secs(1));
 //! assert!(alerts.is_empty(), "a healthy run raises no alerts");
 //! # Ok::<(), rtms_ros2::WorldError>(())

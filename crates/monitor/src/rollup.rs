@@ -66,13 +66,6 @@ impl RollupBuilder {
         }
     }
 
-    /// Feeds every alert of a tenant's window.
-    pub fn add_all<'a>(&mut self, tenant: u64, alerts: impl IntoIterator<Item = &'a Alert>) {
-        for a in alerts {
-            self.add(tenant, a);
-        }
-    }
-
     /// Alerts fed so far.
     pub fn total_alerts(&self) -> u64 {
         self.total_alerts
@@ -247,10 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn add_all_counts_every_alert() {
+    fn add_counts_every_alert() {
         let mut b = RollupBuilder::new();
-        let window = vec![drift(0, "k", 20), spike(0, "n", 0.9)];
-        b.add_all(4, &window);
+        for alert in [drift(0, "k", 20), spike(0, "n", 0.9)] {
+            b.add(4, &alert);
+        }
         assert_eq!(b.total_alerts(), 2);
         assert_eq!(b.build().distinct_causes, 2);
     }

@@ -70,8 +70,7 @@ fn every_alert_kind_round_trips() {
 fn baseline_round_trips_from_real_synthesis() {
     let mut world = WorldBuilder::new(2).seed(1).app(syn_app(1.0)).build().expect("SYN app");
     let mut session = SynthesisSession::new();
-    world.trace_into(&mut session, Nanos::from_secs(2));
-    session.flush();
+    session.feed_segment(&world.trace_run(Nanos::from_secs(2)));
     let baseline = Baseline::from_dag(&session.model());
     assert!(!baseline.is_empty(), "SYN baseline captures envelopes");
     let back = roundtrip(&baseline);

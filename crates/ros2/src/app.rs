@@ -325,11 +325,6 @@ impl AppBuilder {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Sets the executor thread priority of a node.
-    pub fn set_priority(&mut self, node: NodeId, priority: Priority) {
-        self.nodes[node.0].priority = priority;
-    }
-
     /// Sets the executor thread affinity of a node.
     pub fn set_affinity(&mut self, node: NodeId, affinity: Affinity) {
         self.nodes[node.0].affinity = affinity;

@@ -370,21 +370,21 @@ impl DdsDomain {
             .front()
             .is_some_and(|s| s.sample.arrival <= now)
     }
-
-    /// Arrival time of `reader`'s front sample, if any.
-    pub fn next_arrival(&self, reader: ReaderId) -> Option<Nanos> {
-        self.readers[reader.0].queue.front().map(|s| s.sample.arrival)
-    }
-
-    /// Current depth of a reader queue (including undelivered samples).
-    pub fn queue_depth(&self, reader: ReaderId) -> usize {
-        self.readers[reader.0].queue.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arrival time of `reader`'s front sample, if any.
+    fn next_arrival(dds: &DdsDomain, reader: ReaderId) -> Option<Nanos> {
+        dds.readers[reader.0].queue.front().map(|s| s.sample.arrival)
+    }
+
+    /// Current depth of a reader queue (including undelivered samples).
+    fn queue_depth(dds: &DdsDomain, reader: ReaderId) -> usize {
+        dds.readers[reader.0].queue.len()
+    }
 
     fn domain() -> DdsDomain {
         DdsDomain::new(Nanos::from_micros(100))
@@ -430,7 +430,7 @@ mod tests {
         dds.write(Nanos::from_micros(10), Topic::plain("/t"), None);
         assert!(!dds.has_due(r, Nanos::from_micros(10)));
         assert!(dds.has_due(r, Nanos::from_micros(110)));
-        assert_eq!(dds.next_arrival(r), Some(Nanos::from_micros(110)));
+        assert_eq!(next_arrival(&dds, r), Some(Nanos::from_micros(110)));
     }
 
     #[test]
@@ -440,9 +440,9 @@ mod tests {
         let mut dds = domain();
         let r = dds.create_reader(Pid::new(1), Topic::service_request("/sv"));
         dds.write(Nanos::ZERO, Topic::plain("/svRequest"), None);
-        assert_eq!(dds.queue_depth(r), 0);
+        assert_eq!(queue_depth(&dds, r), 0);
         dds.write(Nanos::ZERO, Topic::service_request("/sv"), Some((Pid::new(9), CallbackId::new(1))));
-        assert_eq!(dds.queue_depth(r), 1);
+        assert_eq!(queue_depth(&dds, r), 1);
     }
 
     #[test]
@@ -491,10 +491,10 @@ mod tests {
             dds.write(Nanos::from_micros(i), Topic::service_request("/sv"), None);
             dds.write(Nanos::from_micros(i), Topic::service_response("/sv"), None);
         }
-        assert_eq!(dds.queue_depth(rq), 10, "requests are reliable");
-        assert_eq!(dds.queue_depth(rs), 10, "responses are reliable");
+        assert_eq!(queue_depth(&dds, rq), 10, "requests are reliable");
+        assert_eq!(queue_depth(&dds, rs), 10, "responses are reliable");
         // Service arrivals carry no jitter either.
-        assert_eq!(dds.next_arrival(rq), Some(Nanos::from_micros(100)));
+        assert_eq!(next_arrival(&dds, rq), Some(Nanos::from_micros(100)));
     }
 
     #[test]
@@ -504,7 +504,7 @@ mod tests {
         for i in 0..100 {
             dds.write_lossy(Nanos::from_micros(i), Topic::plain("/t"), None, 0.7);
         }
-        let depth = dds.queue_depth(r);
+        let depth = queue_depth(&dds, r);
         assert!(depth < 70, "fault drops must thin the queue: {depth} of 100 kept");
         assert!(depth > 0, "some copies should survive");
     }

@@ -78,12 +78,6 @@ impl GroundTruth {
         self.instances.iter().filter(move |r| r.callback == id)
     }
 
-    /// Total CPU time issued across all instances (the application load of
-    /// the overhead experiment).
-    pub fn total_issued(&self) -> Nanos {
-        self.instances.iter().fold(Nanos::ZERO, |acc, r| acc + r.issued)
-    }
-
     /// All registered callback IDs, sorted.
     pub fn callback_ids(&self) -> Vec<CallbackId> {
         let mut ids: Vec<CallbackId> = self.registry.keys().copied().collect();
@@ -114,7 +108,6 @@ mod tests {
         assert_eq!(gt.info(id).expect("registered").name, "T1");
         assert_eq!(gt.id_of("T1"), Some(id));
         assert_eq!(gt.instances_of(id).count(), 1);
-        assert_eq!(gt.total_issued(), Nanos::from_millis(2));
         assert_eq!(gt.callback_ids(), vec![id]);
     }
 }

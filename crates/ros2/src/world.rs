@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use rtms_ebpf::{FunctionArgs, FunctionCall, OverheadModel, OverheadReport};
 use rtms_sched::{Affinity, PeriodicLoad, SchedSink, Simulator, SimulatorBuilder};
 use rtms_trace::{
-    CallbackId, CallbackKind, CodecError, Cpu, EventSink, Nanos, Pid, Priority, SchedEvent,
-    SegmentWriter, Topic, Trace, TraceSegment,
+    CallbackId, CallbackKind, CodecError, Cpu, Nanos, Pid, Priority, SchedEvent, SegmentWriter,
+    Topic, Trace,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -676,17 +676,15 @@ impl Ros2World {
         self.sim.now()
     }
 
-    /// Drains all tracer buffers into the given event sink (INIT events
+    /// Drains all tracer buffers onto the end of `segment` (INIT events
     /// first, then runtime, then scheduler events — each stream in FIFO
-    /// order). The sink decides what to do with them: accumulate a
-    /// [`Trace`], fill a bounded [`TraceSegment`], or consume them online.
-    /// Generic over the sink, so draining into a concrete type compiles to
-    /// direct pushes with no per-event virtual dispatch.
-    pub fn collect_segment_into<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
+    /// order). Each buffer moves over in one bulk append, so a recycled
+    /// segment with room to spare takes the drain without allocating.
+    pub fn collect_segment_into(&mut self, segment: &mut Trace) {
         let mut w = self.world.borrow_mut();
-        w.tracers.init.drain_segment_into(sink);
-        w.tracers.rt.drain_segment_into(sink);
-        w.tracers.kernel.drain_segment_into(sink);
+        w.tracers.init.drain_segment_into(segment);
+        w.tracers.rt.drain_segment_into(segment);
+        w.tracers.kernel.drain_segment_into(segment);
     }
 
     /// Drains all tracer buffers into one chronologically sorted trace
@@ -698,33 +696,22 @@ impl Ros2World {
         trace
     }
 
-    /// Streams one traced run of `duration` into `sink`: announce nodes,
-    /// start the runtime tracers, simulate, stop, and drain every tracer
-    /// buffer into the sink. Events arrive in drain order; sort afterwards
-    /// if the sink accumulates and chronological order is required.
-    pub fn trace_into<S: EventSink + ?Sized>(&mut self, sink: &mut S, duration: Nanos) {
+    /// Traces one run of `duration` and returns it as a chronologically
+    /// sorted trace: announce nodes, start the runtime tracers, simulate,
+    /// stop, and collect every tracer buffer.
+    pub fn trace_run(&mut self, duration: Nanos) -> Trace {
         self.announce_nodes();
         self.start_runtime_tracers();
         self.run_for(duration);
         self.stop_runtime_tracers();
-        self.collect_segment_into(sink);
-    }
-
-    /// Convenience: announce nodes, trace one run of `duration`, and return
-    /// the collected segment (a thin wrapper over [`Ros2World::trace_into`]
-    /// with a [`Trace`] as the sink).
-    pub fn trace_run(&mut self, duration: Nanos) -> Trace {
-        let mut trace = Trace::new();
-        self.trace_into(&mut trace, duration);
-        trace.sort_by_time();
-        trace
+        self.collect_segment()
     }
 
     /// Traces a run of `total` simulated time as a sequence of bounded
     /// segments of at most `segment_len` each, following the Fig. 2
     /// deployment flow: stop the runtime tracers, store the segment,
-    /// restart with empty buffers. Each chronologically sorted
-    /// [`TraceSegment`] (indexed in run order) is handed to `on_segment`
+    /// restart with empty buffers. Each chronologically sorted segment
+    /// (a [`Trace`] indexed in run order) is handed to `on_segment`
     /// by mutable reference; the buffer is *recycled* for a later window
     /// once the callback returns, so a run of any length needs memory
     /// proportional to one segment, not to the whole run — and a
@@ -746,7 +733,7 @@ impl Ros2World {
     /// panic.
     pub fn trace_segments<F>(&mut self, total: Nanos, segment_len: Nanos, on_segment: F)
     where
-        F: FnMut(&mut TraceSegment) + Send,
+        F: FnMut(&mut Trace) + Send,
     {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         if cores >= 2 {
@@ -782,7 +769,7 @@ impl Ros2World {
     /// panic.
     pub fn trace_segments_pipelined<F>(&mut self, total: Nanos, segment_len: Nanos, on_segment: F)
     where
-        F: FnMut(&mut TraceSegment) + Send,
+        F: FnMut(&mut Trace) + Send,
     {
         // Forward ring depth: deep enough to absorb consumer hiccups (a
         // slow synthesis window) without stalling collection, shallow
@@ -794,8 +781,8 @@ impl Ros2World {
         const FREE_RING_SLOTS: usize = 2 * DATA_RING_SLOTS;
         assert!(segment_len > Nanos::ZERO, "segment length must be positive");
         self.announce_nodes();
-        let (mut data_tx, mut data_rx) = rtms_util::spsc::ring::<TraceSegment>(DATA_RING_SLOTS);
-        let (mut free_tx, mut free_rx) = rtms_util::spsc::ring::<TraceSegment>(FREE_RING_SLOTS);
+        let (mut data_tx, mut data_rx) = rtms_util::spsc::ring::<Trace>(DATA_RING_SLOTS);
+        let (mut free_tx, mut free_rx) = rtms_util::spsc::ring::<Trace>(FREE_RING_SLOTS);
         std::thread::scope(|scope| {
             let mut on_segment = on_segment;
             let consumer = scope.spawn(move || {
@@ -818,7 +805,7 @@ impl Ros2World {
                     let _ = free_tx.try_push(segment);
                 }
             });
-            let mut pool: rtms_util::SlabPool<TraceSegment> = rtms_util::SlabPool::new();
+            let mut pool: rtms_util::SlabPool<Trace> = rtms_util::SlabPool::new();
             let end = self.now() + total;
             let mut index = 0;
             let mut consumer_alive = true;
@@ -831,7 +818,7 @@ impl Ros2World {
                 // only while the pipeline warms up (bounded by the ring
                 // depth, tracked by the pool's counter).
                 let mut segment =
-                    free_rx.try_pop().unwrap_or_else(|| pool.take_with(TraceSegment::new));
+                    free_rx.try_pop().unwrap_or_else(|| pool.take_with(Trace::new));
                 segment.set_index(index);
                 self.collect_segment_into(&mut segment);
                 // A rejected push means the consumer died; its panic
@@ -863,13 +850,13 @@ impl Ros2World {
         segment_len: Nanos,
         mut on_segment: F,
     ) where
-        F: FnMut(&mut TraceSegment),
+        F: FnMut(&mut Trace),
     {
         assert!(segment_len > Nanos::ZERO, "segment length must be positive");
         self.announce_nodes();
         let end = self.now() + total;
         let mut index = 0;
-        let mut segment = TraceSegment::new();
+        let mut segment = Trace::new();
         while self.now() < end {
             let step = segment_len.min(end - self.now());
             self.start_runtime_tracers();

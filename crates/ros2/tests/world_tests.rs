@@ -252,17 +252,12 @@ fn pid_filter_keeps_kernel_trace_focused() {
 }
 
 #[test]
-fn trace_is_chronologically_sorted_and_serializable() {
+fn trace_run_is_chronologically_sorted() {
     let mut world = pipeline_world(8);
     let trace = world.trace_run(Nanos::from_millis(500));
-    let mut prev = Nanos::ZERO;
-    for e in trace.ros_events() {
-        assert!(e.time >= prev);
-        prev = e.time;
-    }
-    let json = trace.to_json().expect("serialize");
-    let back = Trace::from_json(&json).expect("deserialize");
-    assert_eq!(&back, &trace);
+    assert!(!trace.ros_events().is_empty() && !trace.sched_events().is_empty());
+    assert!(trace.ros_events().is_sorted_by_key(|e| e.time));
+    assert!(trace.sched_events().is_sorted_by_key(|e| e.time));
 }
 
 #[test]

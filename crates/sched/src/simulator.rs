@@ -36,17 +36,6 @@ impl Affinity {
         Affinity(1 << cpu.index())
     }
 
-    /// Builds a mask from an iterator of cores.
-    pub fn from_cpus<I: IntoIterator<Item = Cpu>>(cpus: I) -> Affinity {
-        let mut mask = 0u64;
-        for cpu in cpus {
-            assert!(cpu.index() < 64, "affinity supports up to 64 cores");
-            mask |= 1 << cpu.index();
-        }
-        assert!(mask != 0, "affinity must allow at least one core");
-        Affinity(mask)
-    }
-
     /// Whether this mask allows `cpu`.
     pub fn allows(self, cpu: Cpu) -> bool {
         cpu.index() < 64 && self.0 & (1 << cpu.index()) != 0
@@ -462,11 +451,6 @@ impl Simulator {
         self.now
     }
 
-    /// Number of simulated cores.
-    pub fn cpu_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Attaches a scheduler-event sink (e.g. the eBPF kernel tracer).
     pub fn add_sink(&mut self, sink: Box<dyn SchedSink>) {
         self.sinks.push(sink);
@@ -489,11 +473,6 @@ impl Simulator {
     /// The display name the thread was spawned with.
     pub fn thread_name(&self, pid: Pid) -> &str {
         &self.threads[self.index(pid)].name
-    }
-
-    /// The thread's scheduling priority.
-    pub fn thread_priority(&self, pid: Pid) -> Priority {
-        self.threads[self.index(pid)].prio
     }
 
     /// PIDs of all spawned threads.
@@ -1481,7 +1460,7 @@ mod tests {
 
     #[test]
     fn affinity_helpers() {
-        let a = Affinity::from_cpus([Cpu::new(0), Cpu::new(3)]);
+        let a = Affinity(0b1001);
         assert!(a.allows(Cpu::new(0)));
         assert!(!a.allows(Cpu::new(1)));
         assert!(a.allows(Cpu::new(3)));

@@ -1,11 +1,10 @@
 //! Compact binary encoding of trace events.
 //!
-//! JSON ([`crate::Trace::to_json`]) serializes every event through the
-//! serde value tree — fine for inspection, far too slow and fat for
-//! record-once replay-many workflows. This module is the dense format: a
-//! hand-rolled little-endian binary encoding (one tag byte plus LEB128
-//! varints, see `rtms_util::varint`) in which a typical event costs a
-//! handful of bytes instead of a hundred.
+//! This module is the dense format behind record-once replay-many
+//! workflows: a hand-rolled little-endian binary encoding (one tag byte
+//! plus LEB128 varints, see `rtms_util::varint`) in which a typical event
+//! costs a handful of bytes instead of the hundred a serde value tree
+//! would spend.
 //!
 //! Topic names are *interned*: the encoder assigns each distinct name a
 //! small integer through a [`TopicInterner`] keyed off the shared
@@ -36,12 +35,13 @@
 //! The exact wire layout (and its versioning rules) is documented in
 //! `docs/TRACE_FORMAT.md`.
 
+use crate::cursor::SegmentEvent;
 use crate::event::{CallbackKind, RosEvent, RosPayload};
 use crate::ids::{CallbackId, Cpu, Pid, Priority};
 use crate::sched_event::{SchedEvent, SchedEventKind, ThreadState};
-use crate::sink::{EventSink, SegmentEvent, TraceSegment};
 use crate::time::Nanos;
 use crate::topic::{SourceTimestamp, Topic, TopicKind};
+use crate::trace::Trace;
 use rtms_util::{varint, FxHashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -397,7 +397,7 @@ pub fn decode_dict_entries(payload: &[u8], dict: &mut Vec<Arc<str>>) -> Result<(
 /// New topic names encountered while encoding are interned into `dict`;
 /// the caller (the [`crate::store::SegmentWriter`]) must emit
 /// [`TopicInterner::pending`] in a dictionary frame *before* this frame.
-pub fn encode_segment(segment: &TraceSegment, dict: &mut TopicInterner, out: &mut Vec<u8>) {
+pub fn encode_segment(segment: &Trace, dict: &mut TopicInterner, out: &mut Vec<u8>) {
     varint::write_u64(out, segment.index() as u64);
     let ros = segment.ros_events();
     let sched = segment.sched_events();
@@ -452,8 +452,8 @@ impl SegmentHeader {
 /// Decodes a segment frame payload produced by [`encode_segment`] into a
 /// fresh segment. Records are routed back to their stream by tag family,
 /// so each stream comes back exactly as it went in.
-pub fn decode_segment(payload: &[u8], dict: &[Arc<str>]) -> Result<TraceSegment, CodecError> {
-    let mut segment = TraceSegment::new();
+pub fn decode_segment(payload: &[u8], dict: &[Arc<str>]) -> Result<Trace, CodecError> {
+    let mut segment = Trace::new();
     let (index, _) =
         decode_segment_events(payload, dict, &mut DecodeSlots::new(), |event| match event {
             SegmentEvent::Ros(e) => segment.push_ros(e.clone()),
@@ -557,7 +557,7 @@ fn overwrite(
 
 /// Streaming decode of a segment frame payload: invokes `f` with each
 /// record, in on-disk (merged chronological) order, without materializing
-/// a [`TraceSegment`]. Returns the segment's run index and event count.
+/// a [`Trace`]. Returns the segment's run index and event count.
 ///
 /// Records are lent, not handed over: topic-carrying records live in
 /// `slots` (see [`DecodeSlots`]) and the rest on the stack, so `f` must
@@ -871,9 +871,9 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
-    fn sample_segment() -> TraceSegment {
+    fn sample_segment() -> Trace {
         let topic = Topic::plain("/shared/topic");
-        let mut seg = TraceSegment::with_index(7);
+        let mut seg = Trace::with_index(7);
         seg.push_ros(RosEvent::new(
             Nanos::from_nanos(5),
             Pid::new(3),
@@ -921,7 +921,7 @@ mod tests {
         seg
     }
 
-    fn round_trip(seg: &TraceSegment) -> (Vec<u8>, TraceSegment, Vec<Arc<str>>) {
+    fn round_trip(seg: &Trace) -> (Vec<u8>, Trace, Vec<Arc<str>>) {
         let mut dict = TopicInterner::new();
         let mut payload = Vec::new();
         encode_segment(seg, &mut dict, &mut payload);
@@ -1065,7 +1065,7 @@ mod tests {
         };
         let (first, second) = (take(5, 3, 0x21, 40), take(9, 4, 0x22, 41));
         let encode = |events: &[RosEvent]| {
-            let mut seg = TraceSegment::new();
+            let mut seg = Trace::new();
             for e in events {
                 seg.push_ros(e.clone());
             }

@@ -3,10 +3,11 @@
 //! This crate defines the vocabulary shared by the whole workspace: the
 //! sixteen middleware probes of Table I of the paper ([`Probe`]), the events
 //! those probes emit ([`RosEvent`]), the scheduler events emitted by the
-//! kernel tracer ([`SchedEvent`]), the containers that hold them
-//! ([`Trace`], [`TraceSegment`]), and the binary segment store that is the
-//! paper's Fig. 2 trace database ([`SegmentWriter`] records it once,
-//! [`SegmentReader`] replays it in file order).
+//! kernel tracer ([`SchedEvent`]), the one container that holds them
+//! ([`Trace`], a whole run or one indexed segment of it), and the binary
+//! segment store that is the paper's Fig. 2 trace database
+//! ([`SegmentWriter`] records it once, [`SegmentReader`] replays it in
+//! file order).
 //!
 //! Events are plain data: everything downstream (the synthesis algorithms in
 //! `rtms-core`, the analyses in `rtms-analysis`) consumes only these types,
@@ -30,22 +31,22 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod cursor;
 pub mod event;
 pub mod ids;
 pub mod probe;
 pub mod sched_event;
-pub mod sink;
 pub mod store;
 pub mod time;
 pub mod topic;
 pub mod trace;
 
 pub use codec::{crc32, crc32_update, CodecError, TopicInterner};
+pub use cursor::{split_by_events, SegmentCursor, SegmentEvent};
 pub use event::{CallbackKind, RosEvent, RosPayload};
 pub use ids::{CallbackId, Cpu, Pid, Priority};
 pub use probe::{Probe, ProbeAttachment, ProbeSpec, PROBE_CATALOG};
 pub use sched_event::{SchedEvent, SchedEventKind, ThreadState};
-pub use sink::{split_by_events, EventSink, SegmentCursor, SegmentEvent, TraceSegment};
 pub use store::{
     SegmentFileStats, SegmentReader, SegmentWriter, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION,
     SEGMENT_TRAILER_MAGIC,
@@ -53,3 +54,7 @@ pub use store::{
 pub use time::Nanos;
 pub use topic::{SourceTimestamp, Topic, TopicKind};
 pub use trace::Trace;
+
+/// The former name of [`Trace`] for one bounded segment of a run, kept
+/// for callers written against it.
+pub type TraceSegment = Trace;

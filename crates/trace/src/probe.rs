@@ -254,12 +254,6 @@ impl Probe {
             .expect("every probe has a catalog entry")
     }
 
-    /// All middleware probes used by the ROS2-RT tracer (P2–P16).
-    pub fn runtime_probes() -> impl Iterator<Item = Probe> {
-        use Probe::*;
-        [P2, P3, P4, P5, P6, P7, P8, P9, P10, P11, P12, P13, P14, P15, P16].into_iter()
-    }
-
     /// Whether this probe marks the start of a callback instance
     /// (P2/P5/P9/P12 in Algorithm 1, line 3).
     pub fn is_callback_start(self) -> bool {
@@ -290,7 +284,6 @@ mod tests {
     #[test]
     fn catalog_has_all_sixteen_probes_plus_tracepoints() {
         assert_eq!(PROBE_CATALOG.len(), 18);
-        assert_eq!(Probe::runtime_probes().count(), 15);
     }
 
     #[test]

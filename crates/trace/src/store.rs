@@ -6,13 +6,13 @@
 //! length-prefixed and CRC-32-checked, closed by an index frame and a
 //! fixed trailer. The reader streams the file front to back and treats
 //! the index frame as its clean end. This is the record-once-replay-many
-//! format (`docs/TRACE_FORMAT.md`): a `Ros2World` can record straight to
-//! disk through the [`crate::EventSink`] impl, and a synthesis session
-//! can replay straight from the reader at far beyond collection speed.
+//! format (`docs/TRACE_FORMAT.md`): a `Ros2World` records each collected
+//! segment straight to disk, and a synthesis session can replay straight
+//! from the reader at far beyond collection speed.
 
 use crate::codec::{self, CodecError, DecodeSlots, TopicInterner};
-use crate::sink::{EventSink, SegmentEvent, TraceSegment};
-use crate::{RosEvent, SchedEvent};
+use crate::cursor::SegmentEvent;
+use crate::trace::Trace;
 use serde::Serialize;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -75,31 +75,26 @@ pub struct SegmentFileStats {
 
 /// Streaming writer for the binary segment-file container.
 ///
-/// Two ways in, freely mixable with the same file contract:
-///
-/// - [`SegmentWriter::write_segment`] stores an already-collected
-///   [`TraceSegment`] verbatim — what `Ros2World::record_segments` calls
-///   once per stop/store/restart cycle.
-/// - The [`EventSink`] impl buffers pushed events;
-///   [`SegmentWriter::end_segment`] sorts the buffer chronologically
-///   (matching the live `trace_segments` segment contract) and stores it
-///   as the next segment. This is the `trace_into(&mut writer, ..)` path.
-///
-/// Call [`SegmentWriter::finish`] to write the index frame and trailer —
-/// a file without them is treated as truncated by readers.
+/// [`SegmentWriter::write_segment`] stores an already-collected segment
+/// verbatim — what `Ros2World::record_segments` calls once per
+/// stop/store/restart cycle. Call [`SegmentWriter::finish`] to write the
+/// index frame and trailer — a file without them is treated as truncated
+/// by readers.
 ///
 /// # Example
 ///
 /// ```
-/// use rtms_trace::{SegmentReader, SegmentWriter, TraceSegment};
+/// use rtms_trace::{SegmentReader, SegmentWriter, Trace};
 ///
 /// let mut writer = SegmentWriter::new(Vec::new())?;
-/// writer.write_segment(&TraceSegment::new())?;
+/// writer.write_segment(&Trace::with_index(4))?;
 /// let (file, stats) = writer.finish()?;
 /// assert_eq!(stats.segments, 1);
 /// let mut reader = SegmentReader::new(file.as_slice())?;
-/// assert!(reader.read_segment()?.is_some());
-/// assert!(reader.read_segment()?.is_none());
+/// let mut segment = Trace::new();
+/// assert!(reader.read_segment_into(&mut segment)?);
+/// assert_eq!(segment.index(), 4);
+/// assert!(!reader.read_segment_into(&mut segment)?);
 /// # Ok::<(), rtms_trace::CodecError>(())
 /// ```
 #[derive(Debug)]
@@ -107,7 +102,6 @@ pub struct SegmentWriter<W: Write> {
     inner: W,
     dict: TopicInterner,
     scratch: Vec<u8>,
-    pending: TraceSegment,
     offset: u64,
     dict_offsets: Vec<u64>,
     entries: Vec<SegmentIndexEntry>,
@@ -141,7 +135,6 @@ impl<W: Write> SegmentWriter<W> {
             inner,
             dict: TopicInterner::new(),
             scratch: Vec::new(),
-            pending: TraceSegment::new(),
             offset: 12,
             dict_offsets: Vec::new(),
             entries: Vec::new(),
@@ -174,7 +167,7 @@ impl<W: Write> SegmentWriter<W> {
     /// # Errors
     ///
     /// Returns an error on write failure.
-    pub fn write_segment(&mut self, segment: &TraceSegment) -> Result<(), CodecError> {
+    pub fn write_segment(&mut self, segment: &Trace) -> Result<(), CodecError> {
         let mut payload = std::mem::take(&mut self.scratch);
         payload.clear();
         codec::encode_segment(segment, &mut self.dict, &mut payload);
@@ -196,39 +189,13 @@ impl<W: Write> SegmentWriter<W> {
         self.write_frame(FRAME_SEGMENT, payload)
     }
 
-    /// Closes the segment being assembled through the [`EventSink`]
-    /// interface: sorts the buffered events chronologically (the same
-    /// stable per-stream sort the live `trace_segments` flow applies) and
-    /// stores them as the next segment in run order. A no-op returning
-    /// `Ok(0)` if nothing was pushed since the last call.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on write failure.
-    pub fn end_segment(&mut self) -> Result<usize, CodecError> {
-        if self.pending.is_empty() {
-            return Ok(0);
-        }
-        let mut segment = std::mem::take(&mut self.pending);
-        segment.set_index(self.entries.len());
-        segment.sort_by_time();
-        let events = segment.len();
-        self.write_segment(&segment)?;
-        segment.clear();
-        self.pending = segment; // keep the buffers' capacity
-        Ok(events)
-    }
-
     /// Writes the index frame and trailer, flushes, and returns the inner
-    /// sink with the file statistics. Any events still buffered through
-    /// the sink interface are stored first (as by
-    /// [`SegmentWriter::end_segment`]).
+    /// writer with the file statistics.
     ///
     /// # Errors
     ///
     /// Returns an error on write failure.
     pub fn finish(mut self) -> Result<(W, SegmentFileStats), CodecError> {
-        self.end_segment()?;
         let index_offset = self.offset;
         let mut payload = Vec::new();
         rtms_util::varint::write_u64(&mut payload, self.dict_offsets.len() as u64);
@@ -255,22 +222,6 @@ impl<W: Write> SegmentWriter<W> {
         Ok((self.inner, stats))
     }
 
-    /// Number of segment frames written so far.
-    pub fn segments_written(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total events written so far (not counting the sink buffer).
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
-    /// Bytes written so far (header and frames; the trailer is added by
-    /// [`SegmentWriter::finish`]).
-    pub fn bytes_written(&self) -> u64 {
-        self.offset
-    }
-
     fn write_frame(&mut self, kind: u8, payload: Vec<u8>) -> Result<(), CodecError> {
         let len = u32::try_from(payload.len()).map_err(|_| CodecError::BadLength {
             len: payload.len() as u64,
@@ -291,15 +242,6 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
-impl<W: Write> EventSink for SegmentWriter<W> {
-    fn push_ros(&mut self, event: RosEvent) {
-        self.pending.push_ros(event);
-    }
-    fn push_sched(&mut self, event: SchedEvent) {
-        self.pending.push_sched(event);
-    }
-}
-
 /// Sequential reader for the binary segment-file container: yields the
 /// stored segments in file order, maintaining the topic dictionary as
 /// dictionary frames stream past.
@@ -309,8 +251,6 @@ impl<W: Write> EventSink for SegmentWriter<W> {
 /// ([`CodecError::MissingIndex`]) — per-frame checksums cannot catch a
 /// file truncated exactly at a frame boundary, the missing index frame
 /// can. The trailer after the index frame is never read.
-///
-/// Also an [`Iterator`] over `Result<TraceSegment, CodecError>`.
 #[derive(Debug)]
 pub struct SegmentReader<R: Read> {
     inner: R,
@@ -375,17 +315,6 @@ impl<R: Read> SegmentReader<R> {
         &self.dict
     }
 
-    /// Reads the next stored segment, or `None` after the index frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CodecError`] on any corruption, truncation, or
-    /// I/O failure.
-    pub fn read_segment(&mut self) -> Result<Option<TraceSegment>, CodecError> {
-        let mut segment = TraceSegment::new();
-        Ok(self.read_segment_into(&mut segment)?.then_some(segment))
-    }
-
     /// Reads the next stored segment into an existing buffer, returning
     /// `false` (leaving the buffer cleared) after the index frame. One
     /// segment allocation serves the whole file.
@@ -394,7 +323,7 @@ impl<R: Read> SegmentReader<R> {
     ///
     /// Returns a typed [`CodecError`] on any corruption, truncation, or
     /// I/O failure.
-    pub fn read_segment_into(&mut self, segment: &mut TraceSegment) -> Result<bool, CodecError> {
+    pub fn read_segment_into(&mut self, segment: &mut Trace) -> Result<bool, CodecError> {
         segment.clear();
         let read = self.next_segment_events(|event| match event {
             SegmentEvent::Ros(e) => segment.push_ros(e.clone()),
@@ -406,7 +335,7 @@ impl<R: Read> SegmentReader<R> {
     }
 
     /// Streams the next segment's events into `f`, in on-disk (merged
-    /// chronological) order, without materializing a [`TraceSegment`] —
+    /// chronological) order, without materializing a [`Trace`] —
     /// the fused decode path `SynthesisSession::feed_reader` replays
     /// through. Each record is *lent* to `f` from the reader's reusable
     /// decode slots ([`codec::decode_segment_events`]), so `f` clones
@@ -415,7 +344,7 @@ impl<R: Read> SegmentReader<R> {
     ///
     /// # Errors
     ///
-    /// Same failure surface as [`SegmentReader::read_segment`]; events
+    /// Same failure surface as [`SegmentReader::read_segment_into`]; events
     /// already handed to `f` before a mid-frame decode error stay
     /// delivered.
     pub fn next_segment_events<F: FnMut(SegmentEvent<'_>)>(
@@ -485,14 +414,6 @@ impl<R: Read> SegmentReader<R> {
     }
 }
 
-impl<R: Read> Iterator for SegmentReader<R> {
-    type Item = Result<TraceSegment, CodecError>;
-
-    fn next(&mut self) -> Option<Result<TraceSegment, CodecError>> {
-        self.read_segment().transpose()
-    }
-}
-
 fn map_eof(e: io::Error, at_boundary: CodecError) -> CodecError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         at_boundary
@@ -504,7 +425,7 @@ fn map_eof(e: io::Error, at_boundary: CodecError) -> CodecError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CallbackKind, RosPayload};
+    use crate::event::RosPayload;
     use crate::ids::Pid;
     use crate::time::Nanos;
     use crate::RosEvent;
@@ -523,8 +444,8 @@ mod tests {
     use crate::topic::{SourceTimestamp, Topic};
     use crate::SchedEvent;
 
-    fn sample_segment(index: usize, base: u64) -> TraceSegment {
-        let mut seg = TraceSegment::with_index(index);
+    fn sample_segment(index: usize, base: u64) -> Trace {
+        let mut seg = Trace::with_index(index);
         seg.push_ros(RosEvent::new(
             Nanos::from_nanos(base),
             Pid::new(7),
@@ -566,28 +487,40 @@ mod tests {
     fn binary_file_round_trips_segments_in_order() {
         let bytes = sample_file(3);
         let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
+        let mut seg = Trace::new();
         for i in 0..3 {
-            let seg = reader.read_segment().expect("read").expect("present");
+            assert!(reader.read_segment_into(&mut seg).expect("read"));
             assert_eq!(seg, sample_segment(i, (i as u64 + 1) * 100));
         }
-        assert!(reader.read_segment().expect("read").is_none());
+        assert!(!reader.read_segment_into(&mut seg).expect("read"));
         // After the index frame the reader stays finished.
-        assert!(reader.read_segment().expect("read").is_none());
+        assert!(!reader.read_segment_into(&mut seg).expect("read"));
     }
 
     #[test]
-    fn reader_iterator_yields_all_segments() {
-        let bytes = sample_file(4);
-        let reader = SegmentReader::new(bytes.as_slice()).expect("header");
-        let segments: Result<Vec<_>, _> = reader.collect();
-        assert_eq!(segments.expect("decode").len(), 4);
+    fn reader_yields_every_segment_the_stats_count() {
+        let mut writer = SegmentWriter::new(Vec::new()).expect("header");
+        for i in 0..4 {
+            writer.write_segment(&sample_segment(i, (i as u64 + 1) * 100)).expect("segment");
+        }
+        let (bytes, stats) = writer.finish().expect("finish");
+        assert_eq!(stats.bytes, bytes.len() as u64);
+        let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
+        let mut seg = Trace::new();
+        let (mut segments, mut events) = (0, 0);
+        while reader.read_segment_into(&mut seg).expect("decode") {
+            segments += 1;
+            events += seg.len() as u64;
+        }
+        assert_eq!((segments, events), (stats.segments, stats.events));
+        assert_eq!(segments, 4);
     }
 
     #[test]
     fn reused_segment_buffer_is_fully_overwritten() {
         let bytes = sample_file(2);
         let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
-        let mut reused = TraceSegment::with_index(99);
+        let mut reused = Trace::with_index(99);
         reused.push_ros(RosEvent::new(
             Nanos::from_nanos(1),
             Pid::new(1),
@@ -614,9 +547,10 @@ mod tests {
         assert_eq!(hits, 1, "topic name must be interned across segments");
 
         let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
-        let a = reader.read_segment().expect("read").expect("seg 0");
-        let b = reader.read_segment().expect("read").expect("seg 1");
-        let arc_of = |seg: &TraceSegment| match &seg.ros_events()[0].payload {
+        let (mut a, mut b) = (Trace::new(), Trace::new());
+        assert!(reader.read_segment_into(&mut a).expect("seg 0"));
+        assert!(reader.read_segment_into(&mut b).expect("seg 1"));
+        let arc_of = |seg: &Trace| match &seg.ros_events()[0].payload {
             RosPayload::DdsWrite { topic, .. } => Arc::clone(topic.name_arc()),
             other => panic!("unexpected payload {other:?}"),
         };
@@ -624,60 +558,6 @@ mod tests {
             Arc::ptr_eq(&arc_of(&a), &arc_of(&b)),
             "decoded topics must share one allocation across segments"
         );
-    }
-
-    #[test]
-    fn sink_path_sorts_and_numbers_segments() {
-        let mut writer = SegmentWriter::new(Vec::new()).expect("header");
-        // Push out of order; end_segment must apply the chronological sort.
-        writer.push_ros(RosEvent::new(
-            Nanos::from_nanos(50),
-            Pid::new(1),
-            RosPayload::CallbackEnd { kind: CallbackKind::Timer },
-        ));
-        writer.push_ros(RosEvent::new(
-            Nanos::from_nanos(10),
-            Pid::new(1),
-            RosPayload::CallbackStart { kind: CallbackKind::Timer },
-        ));
-        assert_eq!(writer.end_segment().expect("end"), 2);
-        assert_eq!(writer.end_segment().expect("empty end"), 0, "no-op without new events");
-        writer.push_sched(SchedEvent::wakeup(
-            Nanos::from_nanos(60),
-            Cpu::new(1),
-            Pid::new(2),
-            Priority::new(5),
-        ));
-        assert_eq!(writer.end_segment().expect("end"), 1);
-
-        let (bytes, stats) = writer.finish().expect("finish");
-        assert_eq!(stats.segments, 2);
-        assert_eq!(stats.events, 3);
-        assert_eq!(stats.bytes, bytes.len() as u64);
-
-        let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
-        let first = reader.read_segment().expect("read").expect("seg 0");
-        assert_eq!(first.index(), 0);
-        assert!(
-            matches!(first.ros_events()[0].payload, RosPayload::CallbackStart { .. }),
-            "sink path must sort events chronologically"
-        );
-        let second = reader.read_segment().expect("read").expect("seg 1");
-        assert_eq!(second.index(), 1);
-        assert_eq!(second.sched_events().len(), 1);
-    }
-
-    #[test]
-    fn finish_flushes_pending_sink_events() {
-        let mut writer = SegmentWriter::new(Vec::new()).expect("header");
-        writer.push_ros(RosEvent::new(
-            Nanos::from_nanos(1),
-            Pid::new(1),
-            RosPayload::SyncSubscribe,
-        ));
-        let (_, stats) = writer.finish().expect("finish");
-        assert_eq!(stats.segments, 1);
-        assert_eq!(stats.events, 1);
     }
 
     #[test]
@@ -689,7 +569,7 @@ mod tests {
         let (bytes, _) = writer.finish().expect("finish");
         let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
         assert_eq!(reader.meta(), None, "meta not visible before its frame streams past");
-        reader.read_segment().expect("read").expect("seg");
+        assert!(reader.read_segment_into(&mut Trace::new()).expect("seg"));
         assert_eq!(reader.meta(), Some("{\"apps\":2}"));
     }
 
@@ -702,15 +582,16 @@ mod tests {
         let idx =
             u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
         let cut = &bytes[..idx as usize];
-        let reader = SegmentReader::new(cut).expect("header");
-        for r in reader {
-            match r {
-                Ok(_) => continue,
+        let mut reader = SegmentReader::new(cut).expect("header");
+        let mut seg = Trace::new();
+        loop {
+            match reader.read_segment_into(&mut seg) {
+                Ok(true) => continue,
+                Ok(false) => panic!("truncated file must not read to a clean end"),
                 Err(CodecError::MissingIndex) => return,
                 Err(other) => panic!("expected MissingIndex, got {other:?}"),
             }
         }
-        panic!("truncated file must not read to a clean end");
     }
 
     #[test]
@@ -718,10 +599,11 @@ mod tests {
         let bytes = sample_file(1);
         let cut = &bytes[..bytes.len() - 20];
         let mut reader = SegmentReader::new(cut).expect("header");
+        let mut seg = Trace::new();
         let err = loop {
-            match reader.read_segment() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("must not finish cleanly"),
+            match reader.read_segment_into(&mut seg) {
+                Ok(true) => continue,
+                Ok(false) => panic!("must not finish cleanly"),
                 Err(e) => break e,
             }
         };
@@ -739,10 +621,11 @@ mod tests {
         // starts at byte 17.
         bytes[17] ^= 0xff;
         let mut reader = SegmentReader::new(bytes.as_slice()).expect("header");
+        let mut seg = Trace::new();
         let err = loop {
-            match reader.read_segment() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("corrupt file must not read cleanly"),
+            match reader.read_segment_into(&mut seg) {
+                Ok(true) => continue,
+                Ok(false) => panic!("corrupt file must not read cleanly"),
                 Err(e) => break e,
             }
         };
@@ -772,10 +655,9 @@ mod tests {
         assert_eq!(stats.bytes, fs::metadata(&path).expect("stat").len());
 
         let mut reader = SegmentReader::open(&path).expect("open");
-        assert_eq!(
-            reader.read_segment().expect("read").expect("seg"),
-            sample_segment(0, 10)
-        );
+        let mut seg = Trace::new();
+        assert!(reader.read_segment_into(&mut seg).expect("seg"));
+        assert_eq!(seg, sample_segment(0, 10));
         let _ = fs::remove_dir_all(&root);
     }
 }

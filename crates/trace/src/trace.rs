@@ -1,16 +1,20 @@
-//! Trace containers.
+//! The trace container.
 
 use crate::event::RosEvent;
 use crate::ids::Pid;
 use crate::sched_event::SchedEvent;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A trace: the ROS2 events and scheduler events collected over one tracing
-/// session (or the merge of several).
+/// window, plus that window's position (`index`) in its run.
 ///
+/// One type serves every scale of the Fig. 2 flow. A bounded segment — one
+/// stop/store/restart cycle of a longer run — is a trace with its run
+/// index set; a whole run, or the merge of several, is a trace at index 0.
 /// This is the input to the synthesis algorithms: Algorithm 1 consumes
-/// `ros_events` filtered by PID, Algorithm 2 consumes `sched_events`.
+/// `ros_events` filtered by PID, Algorithm 2 consumes `sched_events`, and
+/// [`Trace::cursor`] walks both streams merged chronologically for an
+/// incremental consumer.
 ///
 /// # Example
 ///
@@ -29,21 +33,38 @@ use serde::{Deserialize, Serialize};
 /// t.sort_by_time();
 /// assert!(t.ros_events()[0].time < t.ros_events()[1].time);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
+    index: usize,
     ros_events: Vec<RosEvent>,
     sched_events: Vec<SchedEvent>,
 }
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty trace at index 0.
     pub fn new() -> Self {
         Trace::default()
     }
 
-    /// Creates a trace from already-collected event vectors.
+    /// Creates an empty trace at the given position in its run.
+    pub fn with_index(index: usize) -> Self {
+        Trace { index, ..Trace::default() }
+    }
+
+    /// Creates a trace at index 0 from already-collected event vectors.
     pub fn from_events(ros_events: Vec<RosEvent>, sched_events: Vec<SchedEvent>) -> Self {
-        Trace { ros_events, sched_events }
+        Trace { index: 0, ros_events, sched_events }
+    }
+
+    /// Zero-based position of this trace (segment) within its run.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Overwrites the trace's position in its run (used when a reused
+    /// buffer takes on the identity of the next segment).
+    pub fn set_index(&mut self, index: usize) {
+        self.index = index;
     }
 
     /// Decomposes the trace into its `(ros_events, sched_events)` vectors.
@@ -52,9 +73,9 @@ impl Trace {
     }
 
     /// A chronological cursor over both event streams merged by timestamp
-    /// (see [`crate::sink::SegmentCursor`] for the ordering contract).
-    pub fn cursor(&self) -> crate::sink::SegmentCursor<'_> {
-        crate::sink::SegmentCursor::over(&self.ros_events, &self.sched_events)
+    /// (see [`crate::cursor::SegmentCursor`] for the ordering contract).
+    pub fn cursor(&self) -> crate::cursor::SegmentCursor<'_> {
+        crate::cursor::SegmentCursor::over(&self.ros_events, &self.sched_events)
     }
 
     /// Appends a ROS2 event.
@@ -67,6 +88,18 @@ impl Trace {
     pub fn clear(&mut self) {
         self.ros_events.clear();
         self.sched_events.clear();
+    }
+
+    /// Resets the trace to an empty state under a new run position,
+    /// keeping every allocation the previous fill grew: the event vectors'
+    /// capacity stays, and event payloads (topic-name `Arc<str>`s,
+    /// node-name strings) were *moved out* by whoever consumed the events,
+    /// so nothing is freed here. This is the recycle step of the slab
+    /// pipeline — a steady-state segment window reuses this buffer without
+    /// touching the allocator.
+    pub fn clear_for_reuse(&mut self, index: usize) {
+        self.clear();
+        self.index = index;
     }
 
     /// Reserves capacity for at least the given number of additional
@@ -121,7 +154,7 @@ impl Trace {
 
     /// Whether both event streams are already in chronological order — the
     /// precondition for the zero-allocation two-pointer merge consumers use
-    /// instead of building a [`crate::sink::SegmentCursor`] index table.
+    /// instead of building a [`crate::cursor::SegmentCursor`] index table.
     pub fn is_sorted_by_time(&self) -> bool {
         self.ros_events.is_sorted_by_key(|e| e.time)
             && self.sched_events.is_sorted_by_key(|e| e.time)
@@ -170,7 +203,8 @@ impl Trace {
     }
 
     /// Merges another trace into this one (Fig. 2, "merge traces" path).
-    /// Events are re-sorted chronologically afterwards.
+    /// Events are re-sorted chronologically afterwards; this trace keeps
+    /// its index.
     pub fn merge(&mut self, other: Trace) {
         self.ros_events.extend(other.ros_events);
         self.sched_events.extend(other.sched_events);
@@ -192,26 +226,6 @@ impl Trace {
     pub fn encoded_size(&self) -> usize {
         self.ros_events.iter().map(RosEvent::encoded_size).sum::<usize>()
             + self.sched_events.iter().map(SchedEvent::encoded_size).sum::<usize>()
-    }
-
-    /// Serializes the trace to JSON, a human-readable export. The Fig. 2
-    /// trace database is the binary segment store ([`crate::store`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialization fails (it cannot for this type,
-    /// but the signature is honest about the serde contract).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes a trace from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `json` is not a valid serialized [`Trace`].
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -289,13 +303,49 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let mut t = Trace::new();
-        t.push_ros(ros(1, 1));
-        t.push_sched(sched(2));
-        let json = t.to_json().expect("serialize");
-        let back = Trace::from_json(&json).expect("deserialize");
-        assert_eq!(t, back);
+    fn segment_collects_both_streams() {
+        let mut seg = Trace::with_index(2);
+        seg.push_ros(ros(5, 1));
+        seg.push_sched(sched(3));
+        assert_eq!(seg.len(), 2);
+        assert_eq!(seg.index(), 2);
+        assert_eq!(seg.end_time(), Some(Nanos::from_nanos(5)));
+    }
+
+    #[test]
+    fn clear_for_reuse_keeps_capacity_and_renumbers() {
+        let mut seg = Trace::with_index(1);
+        seg.reserve(64, 64);
+        for t in 0..64 {
+            seg.push_ros(ros(t, 1));
+            seg.push_sched(sched(t));
+        }
+        seg.clear_for_reuse(7);
+        assert!(seg.is_empty());
+        assert_eq!(seg.index(), 7);
+        // Refilling to the same size must not reallocate: prove it by
+        // growing back without reserve and checking nothing was lost.
+        for t in 0..64 {
+            seg.push_ros(ros(t, 1));
+        }
+        assert_eq!(seg.ros_events().len(), 64);
+    }
+
+    #[test]
+    fn append_swaps_into_empty_trace_and_extends_otherwise() {
+        let mut seg = Trace::new();
+        let mut batch: Vec<RosEvent> = (0..16).map(|t| ros(t, 1)).collect();
+        seg.append_ros(&mut batch);
+        assert_eq!(seg.ros_events().len(), 16);
+        assert!(batch.is_empty());
+        // Swap path: the donor walked away with the trace's (empty)
+        // vector; the next append has somewhere to extend into.
+        let mut more: Vec<RosEvent> = (16..20).map(|t| ros(t, 1)).collect();
+        seg.append_ros(&mut more);
+        assert_eq!(seg.ros_events().len(), 20);
+        assert!(more.is_empty());
+        let times: Vec<u64> = seg.ros_events().iter().map(|e| e.time.as_nanos()).collect();
+        assert_eq!(times, (0..20).collect::<Vec<_>>(), "append preserves order");
     }
 
     #[test]

@@ -13,9 +13,9 @@ use rtms_trace::codec::{
     decode_dict_entries, decode_segment, decode_segment_events, encode_segment, DecodeSlots,
 };
 use rtms_trace::{
-    split_by_events, CallbackId, CallbackKind, Cpu, EventSink, Nanos, Pid, Priority, RosEvent,
-    RosPayload, SchedEvent, SegmentEvent, SegmentReader, SegmentWriter, SourceTimestamp,
-    ThreadState, Topic, TopicInterner, Trace, TraceSegment,
+    split_by_events, CallbackId, CallbackKind, Cpu, Nanos, Pid, Priority, RosEvent, RosPayload,
+    SchedEvent, SegmentEvent, SegmentReader, SegmentWriter, SourceTimestamp, ThreadState, Topic,
+    TopicInterner, Trace,
 };
 use std::sync::Arc;
 
@@ -99,14 +99,14 @@ fn arb_sched_event() -> impl Strategy<Value = SchedEvent> {
 
 /// A segment with both streams in arbitrary (not necessarily sorted)
 /// insertion order — the codec must preserve exactly what it was given.
-fn arb_segment() -> impl Strategy<Value = TraceSegment> {
+fn arb_segment() -> impl Strategy<Value = Trace> {
     (
         0usize..1000,
         proptest::collection::vec(arb_ros_event(), 0..40),
         proptest::collection::vec(arb_sched_event(), 0..40),
     )
         .prop_map(|(index, ros, sched)| {
-            let mut s = TraceSegment::with_index(index);
+            let mut s = Trace::with_index(index);
             for e in ros {
                 s.push_ros(e);
             }
@@ -119,7 +119,7 @@ fn arb_segment() -> impl Strategy<Value = TraceSegment> {
 
 /// Encodes `segment` with a fresh interner and returns the segment
 /// payload plus the dictionary entries it interned.
-fn encode_fresh(segment: &TraceSegment) -> (Vec<u8>, Vec<Arc<str>>) {
+fn encode_fresh(segment: &Trace) -> (Vec<u8>, Vec<Arc<str>>) {
     let mut interner = TopicInterner::new();
     let mut payload = Vec::new();
     encode_segment(segment, &mut interner, &mut payload);
@@ -140,7 +140,7 @@ fn owned(e: SegmentEvent<'_>) -> Owned {
     }
 }
 
-fn assert_segments_equal(a: &TraceSegment, b: &TraceSegment) {
+fn assert_segments_equal(a: &Trace, b: &Trace) {
     assert_eq!(a.index(), b.index());
     assert_eq!(a.ros_events(), b.ros_events());
     assert_eq!(a.sched_events(), b.sched_events());
@@ -226,7 +226,7 @@ proptest! {
 
         let mut reader = SegmentReader::new(file.as_slice()).expect("header");
         let mut back = Vec::new();
-        let mut scratch = TraceSegment::new();
+        let mut scratch = Trace::new();
         while reader.read_segment_into(&mut scratch).expect("decode") {
             back.push(scratch.clone());
         }
@@ -248,7 +248,7 @@ proptest! {
         // Few distinct timestamps => many equal-timestamp collisions.
         squash in 1u64..5,
     ) {
-        let mut segment = TraceSegment::new();
+        let mut segment = Trace::new();
         for mut e in ros {
             e.time = Nanos::from_nanos(e.time.as_nanos() % squash);
             segment.push_ros(e);

@@ -9,9 +9,9 @@
 //! flip of a real file rather than sampling a few.
 
 use rtms_trace::{
-    CallbackId, CallbackKind, CodecError, Cpu, EventSink, Nanos, Pid, Priority, RosEvent,
-    RosPayload, SchedEvent, SegmentReader, SegmentWriter, SourceTimestamp, ThreadState, Topic,
-    TraceSegment, SEGMENT_FILE_VERSION,
+    CallbackId, CallbackKind, CodecError, Cpu, Nanos, Pid, Priority, RosEvent, RosPayload,
+    SchedEvent, SegmentReader, SegmentWriter, SourceTimestamp, ThreadState, Topic, Trace,
+    SEGMENT_FILE_VERSION,
 };
 
 /// A small two-segment file with a meta frame, a shared-topic dictionary,
@@ -20,7 +20,7 @@ fn sample_file() -> Vec<u8> {
     let mut writer = SegmentWriter::new(Vec::new()).expect("header");
     writer.set_meta("{\"origin\":\"corruption-suite\"}").expect("meta");
     for (i, base) in [(0usize, 0u64), (1, 1_000_000)] {
-        let mut s = TraceSegment::with_index(i);
+        let mut s = Trace::with_index(i);
         s.push_ros(RosEvent::new(
             Nanos::from_nanos(base),
             Pid::new(7),
@@ -71,10 +71,10 @@ fn sample_file() -> Vec<u8> {
 
 /// Drains a reader over `bytes`, returning the decoded segments or the
 /// first typed error. A panic anywhere in here fails the suite.
-fn try_replay(bytes: &[u8]) -> Result<Vec<TraceSegment>, CodecError> {
+fn try_replay(bytes: &[u8]) -> Result<Vec<Trace>, CodecError> {
     let mut reader = SegmentReader::new(bytes)?;
     let mut segments = Vec::new();
-    let mut scratch = TraceSegment::new();
+    let mut scratch = Trace::new();
     while reader.read_segment_into(&mut scratch)? {
         segments.push(scratch.clone());
     }
@@ -276,7 +276,7 @@ fn oversized_dict_string_is_rejected() {
 /// an index panic.
 #[test]
 fn dangling_topic_reference_is_rejected() {
-    let mut segment = TraceSegment::new();
+    let mut segment = Trace::new();
     segment.push_ros(RosEvent::new(
         Nanos::from_nanos(5),
         Pid::new(3),
@@ -296,7 +296,7 @@ fn dangling_topic_reference_is_rejected() {
 /// at the codec layer, whatever byte the cut lands on.
 #[test]
 fn segment_payload_truncation_never_panics() {
-    let mut segment = TraceSegment::with_index(3);
+    let mut segment = Trace::with_index(3);
     for i in 0..4u64 {
         segment.push_ros(RosEvent::new(
             Nanos::from_nanos(i * 100),

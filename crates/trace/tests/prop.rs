@@ -148,18 +148,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_json_round_trip(
-        evs in proptest::collection::vec(arb_ros_event(), 0..20),
-        sched in proptest::collection::vec(arb_sched_event(), 0..20),
-    ) {
-        let mut t = Trace::new();
-        for e in evs { t.push_ros(e); }
-        for s in sched { t.push_sched(s); }
-        let back = Trace::from_json(&t.to_json().expect("ser")).expect("de");
-        prop_assert_eq!(back, t);
-    }
-
-    #[test]
     fn ros_events_for_is_a_sorted_filter(
         evs in proptest::collection::vec(arb_ros_event(), 0..60),
         pid in 1u32..64,

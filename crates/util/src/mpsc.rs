@@ -135,11 +135,6 @@ pub struct LaneReceiver<T> {
 }
 
 impl<T> LaneReceiver<T> {
-    /// Number of lanes in the group.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Attempts to receive without blocking, polling each lane at most
     /// once starting after the last hit. `None` means every lane is
     /// currently empty (producers may still be alive).
@@ -223,7 +218,6 @@ mod tests {
         let mut got: Vec<u64> = std::iter::from_fn(|| rx.try_recv()).collect();
         got.sort_unstable();
         assert_eq!(got, [0, 1, 10, 11, 20, 21]);
-        assert_eq!(rx.lane_count(), 3);
         assert!(!rx.all_closed());
     }
 

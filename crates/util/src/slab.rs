@@ -1,6 +1,6 @@
 //! A trivial object pool for reusable buffers ("slabs").
 //!
-//! The pipelined trace path recycles `TraceSegment` buffers through a
+//! The pipelined trace path recycles trace-segment buffers through a
 //! reverse [`crate::spsc`] ring; this pool is the producer-side front for
 //! that freelist. It lazily allocates while the pipeline warms up and
 //! counts lifetime allocations, so benches can assert the steady state

@@ -18,7 +18,7 @@
 
 use rtms_core::{merge_dag_refs, Dag, SynthesisSession};
 use rtms_ros2::WorldBuilder;
-use rtms_trace::{Nanos, TraceSegment};
+use rtms_trace::{Nanos, Trace};
 use rtms_workloads::{generate_app, syn_app, GeneratorConfig};
 
 /// Population size: 104 models in release, a smaller smoke in debug.
@@ -141,7 +141,7 @@ fn tilde_labels_stable_across_windows_of_one_run() {
     let app = generate_app(27, &GeneratorConfig::default());
     let mut world =
         WorldBuilder::new(4).seed(27 ^ 0x51ab).app(app).build().expect("app deploys");
-    let mut segments: Vec<TraceSegment> = Vec::new();
+    let mut segments: Vec<Trace> = Vec::new();
     world.trace_segments_sequential(Nanos::from_millis(1_200), Nanos::from_millis(300), |seg| {
         segments.push(std::mem::take(seg));
     });
@@ -153,7 +153,6 @@ fn tilde_labels_stable_across_windows_of_one_run() {
     for seg in &segments {
         full_session.feed_segment(seg);
     }
-    full_session.flush();
     let full = {
         let mut m = full_session.model();
         m.canonicalize();
@@ -173,7 +172,6 @@ fn tilde_labels_stable_across_windows_of_one_run() {
         .map(|seg| {
             let mut s = SynthesisSession::with_names(std::sync::Arc::clone(&names));
             s.feed_segment(seg);
-            s.flush();
             s.model()
         })
         .collect();

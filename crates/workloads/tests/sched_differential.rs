@@ -6,13 +6,13 @@
 //! rotate through all four generator presets — standard, multi-threaded,
 //! bursty, and city — and periodically add a fault plan or a lossy
 //! best-effort QoS spec on top. For every case the *entire trace* (sched
-//! and ROS event streams alike) must serialize byte-identically between
-//! the two engines: every corpus digest and trained model in the repo
+//! and ROS event streams alike) must be identical, field for field and
+//! event for event, between the two engines: every corpus digest and trained model in the repo
 //! rests on this stream, so "close enough" is not a property we can test
 //! for.
 
 use rtms_ros2::{QosSpec, WorldBuilder};
-use rtms_trace::Nanos;
+use rtms_trace::{Nanos, Trace};
 use rtms_workloads::{
     generate_app, generate_fault_scenario, FaultScenarioConfig, GeneratorConfig,
 };
@@ -28,7 +28,7 @@ struct Case {
     wakeups: bool,
 }
 
-fn build_trace(case: &Case, reference: bool) -> String {
+fn build_trace(case: &Case, reference: bool) -> Trace {
     let (app, plan) = if case.faulted {
         let scenario = generate_fault_scenario(
             case.seed,
@@ -65,7 +65,7 @@ fn build_trace(case: &Case, reference: bool) -> String {
     let mut world = b.build().expect("generated app deploys");
     let trace = world.trace_run(case.horizon);
     assert!(!trace.is_empty(), "seed {} produced an empty trace", case.seed);
-    serde_json::to_string(&trace).expect("trace serializes")
+    trace
 }
 
 #[test]
@@ -94,8 +94,8 @@ fn indexed_engine_matches_reference_across_presets() {
         };
         let indexed = build_trace(&case, false);
         let reference = build_trace(&case, true);
-        assert_eq!(
-            indexed, reference,
+        assert!(
+            indexed == reference,
             "engines diverged: case {i} (preset {preset}, seed {}, cpus {}, lossy {}, faulted {})",
             case.seed, case.cpus, case.lossy, case.faulted
         );

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use rtms_core::{extract_callbacks, node_name_map, synthesize, Dag, SynthesisSession};
 use rtms_ros2::WorldBuilder;
-use rtms_trace::{split_by_events, Nanos, Trace, TraceSegment};
+use rtms_trace::{split_by_events, Nanos, Trace};
 use rtms_workloads::{generate_app, GeneratorConfig};
 
 fn json(dag: &Dag) -> String {
@@ -33,13 +33,11 @@ fn reference_model(trace: &Trace) -> Dag {
 
 /// The zero-copy contract of the owned ingestion path: a plain topic's
 /// name allocation — created once by the tracer side — is the *same*
-/// `Arc<str>` after traveling sink → session → model. No event payload is
-/// cloned on the way.
+/// `Arc<str>` after traveling segment → session → model. No event payload
+/// is cloned on the way.
 #[test]
-fn topic_name_arcs_survive_sink_to_session_to_dag() {
-    use rtms_trace::{
-        CallbackId, CallbackKind, EventSink, Pid, RosEvent, RosPayload, SourceTimestamp, Topic,
-    };
+fn topic_name_arcs_survive_segment_to_session_to_dag() {
+    use rtms_trace::{CallbackId, CallbackKind, Pid, RosEvent, RosPayload, SourceTimestamp, Topic};
     use std::sync::Arc;
 
     let in_topic = Topic::plain("/camera/points");
@@ -47,16 +45,16 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
     let in_name = Arc::clone(in_topic.name_arc());
     let out_name = Arc::clone(out_topic.name_arc());
 
-    // Producer side: events pushed through the EventSink interface, as a
-    // perf-buffer drain would.
-    let mut session = SynthesisSession::new();
+    // Producer side: events moved into a segment, as a perf-buffer drain
+    // would.
+    let mut segment = Trace::new();
     let pid = Pid::new(4);
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(0),
         pid,
         RosPayload::CallbackStart { kind: CallbackKind::Subscriber },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(0),
         pid,
         RosPayload::TakeData {
@@ -65,12 +63,12 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
             src_ts: SourceTimestamp::new(7),
         },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(1),
         pid,
         RosPayload::DdsWrite { topic: out_topic, src_ts: SourceTimestamp::new(8) },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(2),
         pid,
         RosPayload::CallbackEnd { kind: CallbackKind::Subscriber },
@@ -79,12 +77,12 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
     // sample the first callback published — the same `Topic` value, as a
     // real drain would deliver it.
     let downstream = Pid::new(5);
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(3),
         downstream,
         RosPayload::CallbackStart { kind: CallbackKind::Subscriber },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(3),
         downstream,
         RosPayload::TakeData {
@@ -93,12 +91,13 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
             src_ts: SourceTimestamp::new(8),
         },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(4),
         downstream,
         RosPayload::CallbackEnd { kind: CallbackKind::Subscriber },
     ));
-    session.flush();
+    let mut session = SynthesisSession::new();
+    session.feed_segment(&segment);
 
     // Both names reach the callback record without a copy ...
     let lists = session.callback_lists();
@@ -178,13 +177,13 @@ proptest! {
                     .app(app())
                     .build()
                     .expect("generated app deploys");
-                let mut segments: Vec<TraceSegment> = Vec::new();
+                let mut segments: Vec<Trace> = Vec::new();
                 let mut session = SynthesisSession::new();
                 let total = Nanos::from_millis(600);
                 let seg = Nanos::from_millis(segment_ms);
-                let consume = |segments: &mut Vec<TraceSegment>,
+                let consume = |segments: &mut Vec<Trace>,
                                session: &mut SynthesisSession,
-                               segment: &mut TraceSegment| {
+                               segment: &mut Trace| {
                     session.feed_segment(segment);
                     segments.push(std::mem::take(segment));
                 };
@@ -203,12 +202,10 @@ proptest! {
                 (segments, model)
             };
             let (seq_segments, seq_model) = collect(Path::Sequential);
-            let seq_json = serde_json::to_string(&seq_segments).expect("segments serialize");
             for path in [Path::Pipelined, Path::Default] {
                 let (segments, model) = collect(path);
-                prop_assert_eq!(
-                    &seq_json,
-                    &serde_json::to_string(&segments).expect("segments serialize"),
+                prop_assert!(
+                    seq_segments == segments,
                     "{:?} segments diverged from sequential at {} ms (seed {})",
                     path,
                     segment_ms,
