@@ -64,7 +64,7 @@ fn collapse_services(dag: &Dag) -> Dag {
 /// Strips the per-caller/per-client decorations related to `base` from all
 /// vertices, making the service and its RPC topics collapse.
 fn rebuild_with_undecorated_service(dag: &Dag, base: &str) -> Dag {
-    use rtms_core::{CallbackRecord, CbList};
+    use rtms_core::{CallbackRecord, CbList, StartGaps};
     use rtms_trace::{CallbackId, Pid};
     use std::collections::HashMap;
 
@@ -105,7 +105,7 @@ fn rebuild_with_undecorated_service(dag: &Dag, base: &str) -> Dag {
             is_sync_subscriber: v.is_sync_member,
             stats: v.stats.clone(),
             exec_times: v.exec_times.clone(),
-            start_times: vec![],
+            starts: StartGaps::default(),
         };
         next_id += 1;
         match lists.iter_mut().find(|(p, _)| *p == pid) {
@@ -130,7 +130,7 @@ pub fn spurious_chain_report(dag: &Dag) -> SpuriousChains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, Nanos, Pid};
     use std::collections::HashMap;
 
@@ -150,7 +150,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(1)]),
             exec_times: vec![Nanos::from_millis(1)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         }
     }
 

@@ -77,7 +77,7 @@ pub fn latency_bound(dag: &Dag, chain: &Chain) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -98,7 +98,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(wcet_ms)]),
             exec_times: vec![Nanos::from_millis(wcet_ms)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         }
     }
 

@@ -130,7 +130,7 @@ impl LoadAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -145,7 +145,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples(times.iter().copied()),
             exec_times: times,
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

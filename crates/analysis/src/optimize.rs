@@ -147,7 +147,7 @@ pub fn propose_schedule_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, Dag, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, Dag, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -169,7 +169,7 @@ mod tests {
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples(times.iter().copied()),
                 exec_times: times,
-                start_times: vec![rtms_trace::Nanos::ZERO],
+                starts: StartGaps::from_starts([rtms_trace::Nanos::ZERO]),
             }
         };
         let lists = vec![

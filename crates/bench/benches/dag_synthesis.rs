@@ -1,7 +1,7 @@
 //! Cost of DAG synthesis from callback lists as the application grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtms_core::{CallbackRecord, CbList, Dag, ExecStats};
+use rtms_core::{CallbackRecord, CbList, Dag, ExecStats, StartGaps};
 use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -26,7 +26,7 @@ fn chained_lists(nodes: usize, cbs_per_node: usize) -> (Vec<(Pid, CbList)>, Hash
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(1)]),
                 exec_times: vec![Nanos::from_millis(1)],
-                start_times: vec![Nanos::ZERO],
+                starts: StartGaps::from_starts([Nanos::ZERO]),
             });
             id += 1;
         }

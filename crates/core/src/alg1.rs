@@ -2,7 +2,7 @@
 
 use crate::alg2::execution_time;
 use crate::cblist::{CallbackRecord, CbList};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, StartGaps};
 use rtms_trace::{
     CallbackId, CallbackKind, Nanos, Pid, RosEvent, RosPayload, SourceTimestamp, Topic, Trace,
 };
@@ -261,7 +261,7 @@ fn extract_callbacks_indexed(pid: Pid, trace: &Trace, index: &EventIndex) -> CbL
                         is_sync_subscriber: w.sync,
                         stats: ExecStats::from_samples([et]),
                         exec_times: vec![et],
-                        start_times: vec![w.start],
+                        starts: StartGaps::from_starts([w.start]),
                     });
                 }
             }

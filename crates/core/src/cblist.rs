@@ -1,6 +1,6 @@
 //! Callback records and the `CBlist` of Algorithm 1.
 
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, StartGaps};
 use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -34,8 +34,12 @@ pub struct CallbackRecord {
     /// Per-instance execution times, in observation order (kept for
     /// convergence studies; the mergeable summary lives in `stats`).
     pub exec_times: Vec<Nanos>,
-    /// Instance start times, for period estimation of timers.
-    pub start_times: Vec<Nanos>,
+    /// The start-gap fold: first and last start time and the statistics
+    /// of the gaps between consecutive starts, for period estimation of
+    /// timers. It merges like `stats` and grows nothing per instance; a
+    /// start that precedes the one before it (a late, out-of-order
+    /// segment) contributes no gap.
+    pub starts: StartGaps,
 }
 
 impl CallbackRecord {
@@ -57,22 +61,7 @@ impl CallbackRecord {
     /// times (meaningful for timer callbacks, per Sec. IV). Out-of-order
     /// pairs are skipped; `None` if no gap is left.
     pub fn estimated_period(&self) -> Option<Nanos> {
-        let (mut sum, mut count) = (0u64, 0u64);
-        for gap in self.start_gaps() {
-            sum += gap.as_nanos();
-            count += 1;
-        }
-        (count > 0).then(|| Nanos::from_nanos(sum / count))
-    }
-
-    /// Gaps between consecutive start times. A pair whose later start
-    /// precedes the earlier one (a late, out-of-order segment) is skipped
-    /// rather than wrapped or clamped to a zero sample.
-    pub(crate) fn start_gaps(&self) -> impl Iterator<Item = Nanos> + '_ {
-        // Checking the order once up front lets the compiler drop the
-        // per-pair test for in-order input, which every model build sees.
-        let sorted = self.start_times.is_sorted();
-        self.start_times.windows(2).filter(move |w| sorted || w[1] >= w[0]).map(|w| w[1] - w[0])
+        self.starts.mean_gap()
     }
 }
 
@@ -104,7 +93,7 @@ impl CbList {
                 entry.stats.push(et);
                 entry.exec_times.push(et);
             }
-            entry.start_times.extend(instance.start_times.iter().copied());
+            entry.starts.append(&instance.starts);
         } else {
             self.entries.push(instance);
         }
@@ -147,7 +136,7 @@ impl CbList {
                 entry.is_sync_subscriber |= sync;
                 entry.stats.push(exec);
                 entry.exec_times.push(exec);
-                entry.start_times.push(start);
+                entry.starts.push(start);
             }
             None => self.entries.push(CallbackRecord {
                 pid,
@@ -158,8 +147,17 @@ impl CbList {
                 is_sync_subscriber: sync,
                 stats: ExecStats::from_samples([exec]),
                 exec_times: vec![exec],
-                start_times: vec![start],
+                starts: StartGaps::from_starts([start]),
             }),
+        }
+    }
+
+    /// Folds in every entry of `later`, a list of the instances that came
+    /// after this list's, exactly as [`CbList::add_instance`] would fold
+    /// them one by one.
+    pub(crate) fn append(&mut self, later: CbList) {
+        for entry in later.entries {
+            self.add_instance(entry);
         }
     }
 
@@ -211,7 +209,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(et_ms)]),
             exec_times: vec![Nanos::from_millis(et_ms)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         }
     }
 
@@ -252,12 +250,7 @@ mod tests {
     #[test]
     fn period_estimation() {
         let mut r = rec(1, CallbackKind::Timer, None, 1);
-        r.start_times = vec![
-            Nanos::from_millis(0),
-            Nanos::from_millis(100),
-            Nanos::from_millis(201),
-            Nanos::from_millis(299),
-        ];
+        r.starts = StartGaps::from_starts([0, 100, 201, 299].map(Nanos::from_millis));
         let p = r.estimated_period().expect("period");
         assert!((p.as_millis_f64() - 99.67).abs() < 0.5, "period {p}");
         let single = rec(1, CallbackKind::Timer, None, 1);

@@ -1,10 +1,12 @@
 //! DAG synthesis from callback lists (Sec. IV, "DAG synthesis").
 
-use crate::cblist::CbList;
-use crate::stats::ExecStats;
+use crate::cblist::{CallbackRecord, CbList};
+use crate::stats::{ExecStats, StartGaps};
 use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
 use rtms_util::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::borrow::{Borrow, Cow};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -80,6 +82,21 @@ impl DagVertex {
         };
         format!("{}|{}|{}", self.node, self.kind, detail)
     }
+
+    /// Folds in a vertex with the same merge key: statistics combined,
+    /// measurements appended, published topics unioned in first-seen
+    /// order, sync membership sticky.
+    fn absorb(&mut self, other: &DagVertex) {
+        self.stats.merge(&other.stats);
+        self.exec_times.extend_from_slice(&other.exec_times);
+        self.period.merge(&other.period);
+        self.is_sync_member |= other.is_sync_member;
+        for t in &other.out_topics {
+            if !self.out_topics.contains(t) {
+                self.out_topics.push(t.clone());
+            }
+        }
+    }
 }
 
 /// A directed edge: data flows from `from` to `to` over `topic`.
@@ -124,7 +141,21 @@ impl Dag {
     /// observation order — so two models extracted from different windows
     /// of one run label the same callback identically even when the
     /// callbacks first complete in a different order.
-    pub fn from_cblists(lists: &[(Pid, CbList)], node_names: &HashMap<Pid, String>) -> Dag {
+    ///
+    /// The lists may be owned or borrowed (`&[(Pid, CbList)]` or
+    /// `&[(Pid, &CbList)]`). Consecutive lists of one PID read as one
+    /// list: entries of the later list fold into the matching entries of
+    /// the earlier one, as [`CbList::add_instance`] would fold them, and
+    /// the rest follow as new entries. That is how
+    /// [`crate::SynthesisSession::model`] adds a node's pending instances
+    /// without copying the node's list.
+    ///
+    /// Cost: each execution-time sample is copied once, into its vertex;
+    /// everything else is proportional to the number of callbacks.
+    pub fn from_cblists<L: Borrow<CbList>>(
+        lists: &[(Pid, L)],
+        node_names: &HashMap<Pid, String>,
+    ) -> Dag {
         let node_of = |pid: Pid| {
             node_names.get(&pid).cloned().unwrap_or_else(|| format!("pid:{}", pid.get()))
         };
@@ -134,7 +165,7 @@ impl Dag {
         let mut canon: FxHashMap<CallbackId, String> = FxHashMap::default();
         let mut labeled: Vec<(String, CallbackId)> = Vec::new();
         for (pid, list) in lists {
-            for rec in list.entries() {
+            for rec in list.borrow().entries() {
                 if canon.contains_key(&rec.id) {
                     continue;
                 }
@@ -171,11 +202,35 @@ impl Dag {
             }
         };
 
-        // Vertices.
+        // Vertices. `node` keeps the current PID's records, each with its
+        // vertex and start fold, for a following list of the same PID.
         let mut dag = Dag::new();
+        let mut node: Vec<(&CallbackRecord, usize, StartGaps)> = Vec::new();
+        let mut node_pid = None;
         for (pid, list) in lists {
-            for rec in list.entries() {
-                let period = ExecStats::from_samples(rec.start_gaps());
+            let repeat = node_pid == Some(*pid);
+            if !repeat {
+                node.clear();
+                node_pid = Some(*pid);
+            }
+            for rec in list.borrow().entries() {
+                let earlier =
+                    if repeat { node.iter_mut().find(|(r, ..)| r.matches(rec)) } else { None };
+                if let Some((_, i, starts)) = earlier {
+                    let v = &mut dag.vertices[*i];
+                    v.stats.merge(&rec.stats);
+                    v.exec_times.extend_from_slice(&rec.exec_times);
+                    starts.append(&rec.starts);
+                    v.period = starts.gaps().clone();
+                    v.is_sync_member |= rec.is_sync_subscriber;
+                    for t in rec.out_topics.iter().map(&rewrite) {
+                        if !v.out_topics.contains(&t) {
+                            v.out_topics.push(t);
+                        }
+                    }
+                    continue;
+                }
+                node.push((rec, dag.vertices.len(), rec.starts.clone()));
                 dag.vertices.push(DagVertex {
                     node: node_of(*pid),
                     kind: VertexKind::Callback(rec.kind),
@@ -185,7 +240,7 @@ impl Dag {
                     or_junction: false,
                     stats: rec.stats.clone(),
                     exec_times: rec.exec_times.clone(),
-                    period,
+                    period: rec.starts.gaps().clone(),
                 });
             }
         }
@@ -278,14 +333,16 @@ impl Dag {
             }
         }
         self.edges.extend(new_edges);
-        // OR markings: >= 2 incoming edges with the same topic.
-        for (i, v) in self.vertices.iter_mut().enumerate() {
-            if let Some(in_topic) = &v.in_topic {
-                let n = self
-                    .edges
-                    .iter()
-                    .filter(|e| e.to == VertexId(i) && &e.topic == in_topic)
-                    .count();
+        // OR markings: >= 2 incoming edges on the vertex's own topic,
+        // counted in one pass over the edges.
+        let mut incoming = vec![0u32; self.vertices.len()];
+        for e in &self.edges {
+            if self.vertices[e.to.0].in_topic.as_ref() == Some(&e.topic) {
+                incoming[e.to.0] += 1;
+            }
+        }
+        for (v, n) in self.vertices.iter_mut().zip(incoming) {
+            if v.in_topic.is_some() {
                 v.or_junction = n >= 2;
             }
         }
@@ -374,38 +431,14 @@ impl Dag {
     /// are unioned by [`DagVertex::merge_key`], execution-time statistics
     /// and published-topic sets are combined, edges are re-derived.
     pub fn merge(&mut self, other: &Dag) {
-        let mut key_to_idx: HashMap<String, usize> = self
-            .vertices
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.merge_key(), i))
-            .collect();
-        for v in &other.vertices {
-            match key_to_idx.get(&v.merge_key()) {
-                Some(&i) => {
-                    let mine = &mut self.vertices[i];
-                    mine.stats.merge(&v.stats);
-                    mine.exec_times.extend(v.exec_times.iter().copied());
-                    mine.period.merge(&v.period);
-                    mine.is_sync_member |= v.is_sync_member;
-                    for t in &v.out_topics {
-                        if !mine.out_topics.contains(t) {
-                            mine.out_topics.push(t.clone());
-                        }
-                    }
-                }
-                None => {
-                    key_to_idx.insert(v.merge_key(), self.vertices.len());
-                    self.vertices.push(v.clone());
-                }
-            }
-        }
-        self.rederive_edges();
+        let mut union = VertexUnion::new(std::mem::take(self));
+        union.add(other);
+        *self = union.finish();
     }
 
     /// Re-derives every edge from current vertex state: `&`-junction
     /// membership edges, junction output unions, topic edges, and OR
-    /// markings. Shared by [`Dag::merge`] and [`Dag::canonicalize`] —
+    /// markings. Shared by [`VertexUnion`] and [`Dag::canonicalize`] —
     /// both rewrite the vertex set and then rebuild edges from scratch.
     fn rederive_edges(&mut self) {
         self.edges.clear();
@@ -460,31 +493,16 @@ impl Dag {
     pub fn canonicalize(&mut self) {
         // Fold duplicate merge keys. ExecStats combines integer sums, so
         // folding is exactly commutative; the list unions are made
-        // order-blind by the sorts below.
-        let mut folded: Vec<DagVertex> = Vec::with_capacity(self.vertices.len());
-        let mut key_to_idx: HashMap<String, usize> = HashMap::new();
-        for v in self.vertices.drain(..) {
-            match key_to_idx.get(&v.merge_key()) {
-                Some(&i) => {
-                    let mine = &mut folded[i];
-                    mine.stats.merge(&v.stats);
-                    mine.exec_times.extend(v.exec_times.iter().copied());
-                    mine.period.merge(&v.period);
-                    mine.is_sync_member |= v.is_sync_member;
-                    for t in &v.out_topics {
-                        if !mine.out_topics.contains(t) {
-                            mine.out_topics.push(t.clone());
-                        }
-                    }
-                }
-                None => {
-                    key_to_idx.insert(v.merge_key(), folded.len());
-                    folded.push(v);
-                }
-            }
+        // order-blind by the sorts below. Folding keeps each vertex's key
+        // (a match has the same published-topic set), so the fold's keys,
+        // unique now, are the sort keys.
+        let mut union = VertexUnion::default();
+        for v in std::mem::take(&mut self.vertices) {
+            union.insert(Cow::Owned(v));
         }
-        self.vertices = folded;
-        self.vertices.sort_by_cached_key(DagVertex::merge_key);
+        let mut keyed = union.into_keyed();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.vertices = keyed.into_iter().map(|(_, v)| v).collect();
         for v in &mut self.vertices {
             v.out_topics.sort();
             v.out_topics.dedup();
@@ -557,6 +575,64 @@ impl Dag {
             .collect();
         edges.sort();
         Topology { vertices, edges }
+    }
+}
+
+/// Vertices unioned by [`DagVertex::merge_key`], with the key index kept
+/// across the whole fold so each vertex's key is built once: the core of
+/// [`Dag::merge`], [`Dag::canonicalize`] and [`crate::merge_dags`].
+#[derive(Debug, Default)]
+pub(crate) struct VertexUnion {
+    dag: Dag,
+    index: HashMap<String, usize>,
+}
+
+impl VertexUnion {
+    /// Starts from `dag` as it is: its vertices are indexed, not folded.
+    /// A key several of them share maps to the last, where later
+    /// vertices with that key fold in.
+    pub(crate) fn new(dag: Dag) -> VertexUnion {
+        let index = dag.vertices.iter().enumerate().map(|(i, v)| (v.merge_key(), i)).collect();
+        VertexUnion { dag, index }
+    }
+
+    /// Unions `other`'s vertices into the fold, in encounter order. Edges
+    /// are re-derived once, by [`VertexUnion::finish`].
+    pub(crate) fn add(&mut self, other: &Dag) {
+        for v in &other.vertices {
+            self.insert(Cow::Borrowed(v));
+        }
+    }
+
+    fn insert(&mut self, v: Cow<'_, DagVertex>) {
+        match self.index.entry(v.merge_key()) {
+            Entry::Occupied(e) => self.dag.vertices[*e.get()].absorb(&v),
+            Entry::Vacant(e) => {
+                e.insert(self.dag.vertices.len());
+                self.dag.vertices.push(v.into_owned());
+            }
+        }
+    }
+
+    /// The vertex a merge key maps to.
+    pub(crate) fn find(&self, key: &str) -> Option<&DagVertex> {
+        self.index.get(key).map(|&i| &self.dag.vertices[i])
+    }
+
+    /// The merged model, every edge re-derived.
+    pub(crate) fn finish(mut self) -> Dag {
+        self.dag.rederive_edges();
+        self.dag
+    }
+
+    /// The vertices with their keys, in fold order. Meant for a fold that
+    /// started empty, where every vertex holds a key of its own.
+    fn into_keyed(self) -> Vec<(String, DagVertex)> {
+        let mut keys = vec![String::new(); self.dag.vertices.len()];
+        for (key, i) in self.index {
+            keys[i] = key;
+        }
+        keys.into_iter().zip(self.dag.vertices).collect()
     }
 }
 
@@ -733,7 +809,6 @@ fn multiset_sub<T: Ord + Clone>(a: &[T], b: &[T]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cblist::CallbackRecord;
 
     fn rec(
         pid: u32,
@@ -752,7 +827,7 @@ mod tests {
             is_sync_subscriber: sync,
             stats: ExecStats::from_samples([Nanos::from_millis(1)]),
             exec_times: vec![Nanos::from_millis(1)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         }
     }
 

@@ -42,7 +42,7 @@ pub use dag::{Dag, DagEdge, DagVertex, ModelDiff, Topology, TopologyEdge, Vertex
 pub use merge::{merge_dag_refs, merge_dags, ConvergenceSeries};
 pub use multimode::MultiModeDag;
 pub use session::SynthesisSession;
-pub use stats::ExecStats;
+pub use stats::{ExecStats, StartGaps};
 pub use synthesis::{
     node_name_map, node_name_map_shared, synthesize, synthesize_per_node, synthesize_with_names,
 };

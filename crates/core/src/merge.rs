@@ -1,7 +1,8 @@
 //! Model merging across runs and convergence studies.
 
-use crate::dag::Dag;
+use crate::dag::{Dag, VertexUnion};
 use rtms_trace::Nanos;
+use std::borrow::Borrow;
 
 /// Merges many per-run models into one (the "merge DAGs" path of Fig. 2 —
 /// the processing option the paper uses for its experiments).
@@ -16,11 +17,8 @@ use rtms_trace::Nanos;
 /// ```
 pub fn merge_dags<I: IntoIterator<Item = Dag>>(dags: I) -> Dag {
     let mut iter = dags.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for d in iter {
-        acc.merge(&d);
-    }
-    acc
+    let first = iter.next().unwrap_or_default();
+    merge_into(first, iter)
 }
 
 /// [`merge_dags`] over borrowed models — merges a slice (or any other
@@ -40,11 +38,23 @@ pub fn merge_dags<I: IntoIterator<Item = Dag>>(dags: I) -> Dag {
 /// ```
 pub fn merge_dag_refs<'a, I: IntoIterator<Item = &'a Dag>>(dags: I) -> Dag {
     let mut iter = dags.into_iter();
-    let mut acc = iter.next().cloned().unwrap_or_default();
-    for d in iter {
-        acc.merge(d);
+    let first = iter.next().cloned().unwrap_or_default();
+    merge_into(first, iter)
+}
+
+/// Merges `rest` into `first` in order, as repeated [`Dag::merge`] calls
+/// would, but with one merge-key index for the whole fold and edges
+/// derived once at the end. A lone model comes back untouched.
+fn merge_into<D: Borrow<Dag>>(first: Dag, rest: impl Iterator<Item = D>) -> Dag {
+    let mut rest = rest.peekable();
+    if rest.peek().is_none() {
+        return first;
     }
-    acc
+    let mut union = VertexUnion::new(first);
+    for d in rest {
+        union.add(d.borrow());
+    }
+    union.finish()
 }
 
 /// The evolution of a callback's measured timing attributes as more runs
@@ -67,11 +77,11 @@ impl ConvergenceSeries {
     where
         I: IntoIterator<Item = &'a Dag>,
     {
-        let mut acc = Dag::new();
+        let mut acc = VertexUnion::default();
         let mut points = Vec::new();
         for (i, d) in dags.into_iter().enumerate() {
-            acc.merge(d);
-            if let Some(v) = acc.vertices().iter().find(|v| v.merge_key() == merge_key) {
+            acc.add(d);
+            if let Some(v) = acc.find(merge_key) {
                 if let (Some(b), Some(a), Some(w)) =
                     (v.stats.mbcet(), v.stats.macet(), v.stats.mwcet())
                 {
@@ -97,7 +107,7 @@ impl ConvergenceSeries {
 mod tests {
     use super::*;
     use crate::cblist::{CallbackRecord, CbList};
-    use crate::stats::ExecStats;
+    use crate::stats::{ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -111,7 +121,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(et_ms)]),
             exec_times: vec![Nanos::from_millis(et_ms)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

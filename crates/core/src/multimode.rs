@@ -61,7 +61,7 @@ impl MultiModeDag {
 mod tests {
     use super::*;
     use crate::cblist::{CallbackRecord, CbList};
-    use crate::stats::ExecStats;
+    use crate::stats::{ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
     use std::collections::HashMap;
 
@@ -75,7 +75,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(et_ms)]),
             exec_times: vec![Nanos::from_millis(et_ms)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

@@ -23,9 +23,8 @@
 //! streaming-equivalence suite, including one-event segments.
 
 use crate::alg1::cat_id;
-use crate::cblist::{CallbackRecord, CbList};
+use crate::cblist::CbList;
 use crate::dag::Dag;
-use crate::stats::ExecStats;
 use rtms_trace::{
     CallbackId, CallbackKind, Nanos, Pid, RosEvent, RosPayload, SchedEvent, SchedEventKind,
     SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace,
@@ -786,20 +785,6 @@ impl SynthesisSession {
         }
     }
 
-    fn finished_record(pid: Pid, p: &PendingInstance, outs: Vec<Arc<str>>) -> CallbackRecord {
-        CallbackRecord {
-            pid,
-            id: p.id,
-            kind: p.kind,
-            in_topic: p.in_topic.clone(),
-            out_topics: outs,
-            is_sync_subscriber: p.sync,
-            stats: ExecStats::from_samples([p.exec]),
-            exec_times: vec![p.exec],
-            start_times: vec![p.start],
-        }
-    }
-
     fn on_sched(&mut self, e: &SchedEvent) {
         let SchedEventKind::Switch { prev_pid, next_pid, .. } = &e.kind else {
             return; // wakeups do not put a thread on a CPU
@@ -822,29 +807,47 @@ impl SynthesisSession {
     /// dispatch decorates as `unknown`, as batch extraction would on a
     /// trace cut at this point); feeding may continue afterwards.
     pub fn callback_lists(&self) -> Vec<(Pid, CbList)> {
-        let mut lists = Vec::new();
-        let mut entries: Vec<(Pid, &PidState)> = self.nodes.iter().collect();
-        entries.sort_unstable_by_key(|&(pid, _)| pid);
-        for (pid, st) in entries {
-            let mut list = st.list.clone();
-            for p in &st.pending {
-                let outs = p
-                    .outs
-                    .iter()
-                    .map(|slot| match slot {
-                        OutSlot::Ready(s) => s.clone(),
-                        OutSlot::AwaitClient { topic, src_ts } => {
-                            cat_id(topic, self.peek_client(*src_ts, topic))
-                        }
-                    })
-                    .collect();
-                list.add_instance(Self::finished_record(pid, p, outs));
-            }
-            if !list.is_empty() {
-                lists.push((pid, list));
-            }
+        self.node_lists()
+            .into_iter()
+            .filter_map(|(pid, list, pending)| {
+                let mut list = list.clone();
+                if let Some(pending) = pending {
+                    list.append(pending);
+                }
+                (!list.is_empty()).then_some((pid, list))
+            })
+            .collect()
+    }
+
+    /// Every node's folded list and the fold of its pending instances,
+    /// sorted by PID: what [`SynthesisSession::callback_lists`] joins into
+    /// one list per node and [`SynthesisSession::model_with_names`] hands
+    /// to the model build side by side.
+    fn node_lists(&self) -> Vec<(Pid, &CbList, Option<CbList>)> {
+        let mut nodes: Vec<_> =
+            self.nodes.iter().map(|(pid, st)| (pid, &st.list, self.pending_list(pid, st))).collect();
+        nodes.sort_unstable_by_key(|&(pid, ..)| pid);
+        nodes
+    }
+
+    /// A node's pending instances folded, in completion order, into a list
+    /// of their own (`None` if there are none), their open response
+    /// decorations resolved by [`SynthesisSession::peek_client`].
+    fn pending_list(&self, pid: Pid, st: &PidState) -> Option<CbList> {
+        if st.pending.is_empty() {
+            return None;
         }
-        lists
+        let mut list = CbList::new();
+        for p in &st.pending {
+            let outs = p.outs.iter().map(|slot| match slot {
+                OutSlot::Ready(s) => s.clone(),
+                OutSlot::AwaitClient { topic, src_ts } => {
+                    cat_id(topic, self.peek_client(*src_ts, topic))
+                }
+            });
+            list.fold_instance(pid, p.id, p.kind, p.in_topic.clone(), outs, p.sync, p.exec, p.start);
+        }
+        Some(list)
     }
 
     /// `FindClient` against the current tables, without committing: the
@@ -858,14 +861,27 @@ impl SynthesisSession {
     /// Synthesizes the timing model of everything fed so far, using the
     /// session's accumulated node-name map. Callable at any point; the
     /// session can keep consuming segments afterwards.
+    ///
+    /// The model is built from the session's own lists, borrowed: each
+    /// execution-time sample is copied once, into its vertex, and the
+    /// rest of the work is proportional to the number of callbacks (plus
+    /// the pending instances, folded into the model's copy). The result
+    /// equals `Dag::from_cblists(&self.callback_lists(), self.names())`.
     pub fn model(&self) -> Dag {
-        Dag::from_cblists(&self.callback_lists(), &self.names)
+        self.model_with_names(&self.names)
     }
 
     /// Like [`SynthesisSession::model`], but with an explicitly supplied
     /// node-name map (for streams whose P1 events live elsewhere).
     pub fn model_with_names(&self, names: &HashMap<Pid, String>) -> Dag {
-        Dag::from_cblists(&self.callback_lists(), names)
+        let nodes = self.node_lists();
+        let mut lists: Vec<(Pid, &CbList)> = Vec::with_capacity(nodes.len());
+        for (pid, list, pending) in &nodes {
+            lists.push((*pid, list));
+            // Same PID twice in a row: the pending fold continues the list.
+            lists.extend(pending.iter().map(|pending| (*pid, pending)));
+        }
+        Dag::from_cblists(&lists, names)
     }
 
     /// Number of segments fed so far.
@@ -1059,6 +1075,30 @@ mod tests {
         }
     }
 
+    /// The borrowed model build equals the build from cloned lists after
+    /// every segment, while instances are pending as well.
+    #[test]
+    fn model_equals_the_callback_list_build_after_every_segment() {
+        let json = |dag: &Dag| serde_json::to_string(dag).expect("model serializes");
+        for (name, trace) in [("service", service_trace()), ("reused", reused_response_trace())] {
+            let mut pending_seen = false;
+            for per_segment in [1, 7, trace.len()] {
+                let mut session = SynthesisSession::new();
+                for (i, seg) in split_by_events(&trace, per_segment).iter().enumerate() {
+                    session.feed_segment(seg);
+                    pending_seen |= session.nodes.iter().any(|(_, st)| !st.pending.is_empty());
+                    let via_lists = Dag::from_cblists(&session.callback_lists(), session.names());
+                    assert_eq!(
+                        json(&session.model()),
+                        json(&via_lists),
+                        "{name} trace, {per_segment} events per segment, after segment {i}"
+                    );
+                }
+            }
+            assert!(pending_seen, "{name} trace leaves instances pending");
+        }
+    }
+
     #[test]
     fn one_event_segments_equal_batch() {
         let trace = service_trace();
@@ -1152,7 +1192,9 @@ mod tests {
         let lists = session.callback_lists();
         let (_, node) = lists.iter().find(|(p, _)| *p == Pid::new(1)).expect("pid 1");
         let record = &node.entries()[0];
-        assert_eq!(record.start_times.len(), 2);
+        assert_eq!(record.stats.count(), 2);
+        let starts = (record.starts.first(), record.starts.last());
+        assert_eq!(starts, (Some(Nanos::from_millis(10)), Some(Nanos::from_millis(5))));
         assert_eq!(record.estimated_period(), None);
         let model = session.model();
         assert_eq!(model.vertices()[0].period.count(), 0);

@@ -94,6 +94,86 @@ impl ExecStats {
     }
 }
 
+/// The start-gap fold of one callback: its first and last start time and
+/// [`ExecStats`] over the gaps between consecutive starts — the period
+/// estimate of a timer callback, kept without a per-instance vector.
+///
+/// A start that precedes the one before it (a late, out-of-order segment)
+/// contributes no gap: the pair is skipped rather than wrapped or clamped
+/// to a zero sample. Folds merge exactly: [`StartGaps::append`] of a later
+/// fold yields the fold of the concatenated start sequences, junction gap
+/// included.
+///
+/// # Example
+///
+/// ```
+/// use rtms_core::StartGaps;
+/// use rtms_trace::Nanos;
+///
+/// let ms = Nanos::from_millis;
+/// let mut a = StartGaps::from_starts([ms(0), ms(100)]);
+/// a.append(&StartGaps::from_starts([ms(90), ms(200)]));
+/// // Gaps 100 and 110; 100 → 90 runs backwards and is skipped.
+/// assert_eq!(a.gaps().count(), 2);
+/// assert_eq!(a.mean_gap(), Some(ms(105)));
+/// assert_eq!((a.first(), a.last()), (Some(ms(0)), Some(ms(200))));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StartGaps {
+    first: Option<Nanos>,
+    last: Option<Nanos>,
+    gaps: ExecStats,
+}
+
+impl StartGaps {
+    /// Folds a sequence of start times, in observation order.
+    pub fn from_starts<I: IntoIterator<Item = Nanos>>(starts: I) -> Self {
+        let mut s = StartGaps::default();
+        for start in starts {
+            s.push(start);
+        }
+        s
+    }
+
+    /// Records the next start time.
+    pub fn push(&mut self, start: Nanos) {
+        if let Some(last) = self.last.filter(|&last| start >= last) {
+            self.gaps.push(start - last);
+        }
+        self.first.get_or_insert(start);
+        self.last = Some(start);
+    }
+
+    /// Appends the fold of the start times that follow this fold's.
+    pub fn append(&mut self, later: &StartGaps) {
+        if let Some(first) = later.first {
+            self.push(first);
+            self.gaps.merge(&later.gaps);
+            self.last = later.last;
+        }
+    }
+
+    /// The first start time, if any.
+    pub fn first(&self) -> Option<Nanos> {
+        self.first
+    }
+
+    /// The last start time, if any.
+    pub fn last(&self) -> Option<Nanos> {
+        self.last
+    }
+
+    /// Statistics over the in-order gaps between consecutive starts.
+    pub fn gaps(&self) -> &ExecStats {
+        &self.gaps
+    }
+
+    /// The mean gap, rounded down; `None` if no gap is recorded.
+    pub fn mean_gap(&self) -> Option<Nanos> {
+        (self.gaps.count > 0).then(|| Nanos::from_nanos(self.gaps.sum / self.gaps.count))
+    }
+}
+
 impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (self.mbcet(), self.macet(), self.mwcet()) {
@@ -143,6 +223,23 @@ mod tests {
         let mut e = ExecStats::new();
         e.merge(&before);
         assert_eq!(e, before);
+    }
+
+    /// The fold equals the gap statistics of the full start sequence,
+    /// split anywhere and appended back together.
+    #[test]
+    fn start_gaps_append_equals_one_fold() {
+        let starts: Vec<Nanos> =
+            [0u64, 100, 201, 150, 299, 400, 400, 380].into_iter().map(Nanos::from_millis).collect();
+        let whole = StartGaps::from_starts(starts.iter().copied());
+        let in_order = starts.windows(2).filter(|w| w[1] >= w[0]).map(|w| w[1] - w[0]);
+        assert_eq!(whole.gaps(), &ExecStats::from_samples(in_order));
+        for cut in 0..=starts.len() {
+            let mut head = StartGaps::from_starts(starts[..cut].iter().copied());
+            head.append(&StartGaps::from_starts(starts[cut..].iter().copied()));
+            assert_eq!(head, whole, "cut at {cut}");
+        }
+        assert_eq!(StartGaps::from_starts([Nanos::ZERO]).mean_gap(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the synthesis algorithms.
 
 use proptest::prelude::*;
-use rtms_core::{execution_time, merge_dags, CallbackRecord, CbList, Dag, ExecStats};
+use rtms_core::{execution_time, merge_dags, CallbackRecord, CbList, Dag, ExecStats, StartGaps};
 use rtms_trace::{
     CallbackId, CallbackKind, Cpu, Nanos, Pid, Priority, SchedEvent, ThreadState,
 };
@@ -119,7 +119,7 @@ proptest! {
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(i as u64 + 1)]),
                 exec_times: vec![Nanos::from_millis(i as u64 + 1)],
-                start_times: vec![Nanos::ZERO],
+                starts: StartGaps::from_starts([Nanos::ZERO]),
             });
         }
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();
@@ -148,7 +148,7 @@ proptest! {
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(et)]),
                 exec_times: vec![Nanos::from_millis(et)],
-                start_times: vec![Nanos::ZERO],
+                starts: StartGaps::from_starts([Nanos::ZERO]),
             };
             let list: CbList = [rec].into_iter().collect();
             Dag::from_cblists(&[(Pid::new(1), list)], &names)
@@ -172,7 +172,7 @@ proptest! {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_nanos(et)]),
             exec_times: vec![Nanos::from_nanos(et)],
-            start_times: vec![Nanos::ZERO],
+            starts: StartGaps::from_starts([Nanos::ZERO]),
         };
         let fwd: CbList = ets.iter().map(|&e| mk(e)).collect();
         let rev: CbList = ets.iter().rev().map(|&e| mk(e)).collect();

@@ -165,7 +165,7 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -180,7 +180,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples(times.iter().copied()),
             exec_times: times,
-            start_times: starts_ms.iter().map(|&m| Nanos::from_millis(m)).collect(),
+            starts: StartGaps::from_starts(starts_ms.iter().map(|&m| Nanos::from_millis(m))),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

@@ -463,7 +463,7 @@ fn episode_step<T: Ord + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -490,7 +490,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples(times.iter().copied()),
             exec_times: times,
-            start_times: (0..n as u64).map(|i| Nanos::from_millis(i * period_ms)).collect(),
+            starts: StartGaps::from_starts((0..n as u64).map(|i| Nanos::from_millis(i * period_ms))),
         }
     }
 

@@ -127,7 +127,7 @@ impl Default for BaselineStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList, ExecStats, StartGaps};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -143,7 +143,7 @@ mod tests {
             is_sync_subscriber: false,
             stats: ExecStats::from_samples(times.iter().copied()),
             exec_times: times.clone(),
-            start_times: (0..n as u64).map(|i| Nanos::from_millis(i * 100)).collect(),
+            starts: StartGaps::from_starts((0..n as u64).map(|i| Nanos::from_millis(i * 100))),
         };
         let lists: Vec<(Pid, CbList)> = vec![
             (Pid::new(1), [rec(1, CallbackKind::Timer, None, &[&topic])].into_iter().collect()),

@@ -277,7 +277,7 @@ impl NodeExecutor {
         {
             let mut w = self.world.borrow_mut();
             w.call(FunctionCall::exit(now, pid, end_args));
-            w.ground_truth.record(InstanceRecord {
+            Rc::make_mut(&mut w.ground_truth).record(InstanceRecord {
                 pid,
                 callback: core.cbs[cur.cb].id,
                 start: cur.start,

@@ -109,7 +109,9 @@ impl std::error::Error for WorldError {}
 pub(crate) struct WorldState {
     pub(crate) dds: DdsDomain,
     pub(crate) tracers: TracerSet,
-    pub(crate) ground_truth: GroundTruth,
+    /// Shared with the handles [`Ros2World::ground_truth`] gives out;
+    /// written copy-on-write.
+    pub(crate) ground_truth: Rc<GroundTruth>,
     pub(crate) rng: StdRng,
     addr_ctr: u64,
     /// For multi-threaded nodes: primary (reader-owning) pid → all worker
@@ -423,7 +425,7 @@ impl WorldBuilder {
                 self.seed ^ 0x9e37_79b9_7f4a_7c15,
             ),
             tracers,
-            ground_truth: GroundTruth::new(),
+            ground_truth: Rc::new(GroundTruth::new()),
             rng: StdRng::seed_from_u64(self.seed),
             addr_ctr: 0,
             wake_fanout: HashMap::new(),
@@ -483,7 +485,7 @@ impl WorldBuilder {
                             }
                         }
                     };
-                    world.borrow_mut().ground_truth.register(
+                    Rc::make_mut(&mut world.borrow_mut().ground_truth).register(
                         id,
                         CallbackInfo {
                             node: node.name.clone(),
@@ -916,9 +918,12 @@ impl Ros2World {
         &self.node_pids
     }
 
-    /// Snapshot of the simulator's ground truth.
-    pub fn ground_truth(&self) -> GroundTruth {
-        self.world.borrow().ground_truth.clone()
+    /// Snapshot of the simulator's ground truth, shared rather than
+    /// copied: the instance log grows with the run. Should the world run
+    /// on while a snapshot is held, its next record copies the log once
+    /// and the snapshot keeps what it saw.
+    pub fn ground_truth(&self) -> Rc<GroundTruth> {
+        Rc::clone(&self.world.borrow().ground_truth)
     }
 
     /// Total CPU time consumed so far by the applications' executor

@@ -124,6 +124,15 @@ fn merge_is_associative_and_order_independent() {
     a_bc.canonicalize();
     assert_eq!(json(&ab), json(&a_bc), "pairwise merge is not associative");
     assert_eq!(json(&ab), json(&canonical_merge([a, b, c])), "fold disagrees with merge_dag_refs");
+
+    // The one-index fold of `merge_dag_refs` equals `Dag::merge` applied
+    // model by model, before any canonicalization: same vertex order,
+    // same folds, same edges.
+    let mut stepwise = models[0].clone();
+    for m in &models[1..] {
+        stepwise.merge(m);
+    }
+    assert_eq!(json(&merge_dag_refs(&models)), json(&stepwise), "raw fold diverged from Dag::merge");
 }
 
 /// `~n` collision suffixes are assigned in callback-ID order, not

@@ -123,39 +123,58 @@ fn topic_name_arcs_survive_segment_to_session_to_dag() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// 100 generated scenarios: batch equals the reference pipeline, and
-    /// the session equals batch for several segment sizes.
+    /// 100 generated scenarios, each in the default and the multi-threaded
+    /// preset: batch equals the reference pipeline, and the session equals
+    /// batch for several segment sizes. After every segment the model the
+    /// session builds from its own state equals the model built from its
+    /// cloned callback lists, pending instances included.
     #[test]
     fn session_fed_segments_matches_batch(seed in 0u64..1_000_000) {
-        let app = generate_app(seed, &GeneratorConfig::default());
-        let mut world = WorldBuilder::new(8)
-            .seed(seed ^ 0x57ee)
-            .app(app)
-            .build()
-            .expect("generated app deploys");
-        let trace = world.trace_run(Nanos::from_millis(600));
-        prop_assert!(!trace.is_empty(), "seed {seed} produced an empty trace");
+        for (preset, config) in
+            [("default", GeneratorConfig::default()), ("multi_threaded", GeneratorConfig::multi_threaded())]
+        {
+            let app = generate_app(seed, &config);
+            let mut world = WorldBuilder::new(8)
+                .seed(seed ^ 0x57ee)
+                .app(app)
+                .build()
+                .expect("generated app deploys");
+            let trace = world.trace_run(Nanos::from_millis(600));
+            prop_assert!(!trace.is_empty(), "{preset} seed {seed} produced an empty trace");
 
-        let batch = json(&synthesize(&trace));
-        prop_assert_eq!(
-            &batch,
-            &json(&reference_model(&trace)),
-            "session-backed batch diverged from the reference pipeline (seed {})",
-            seed
-        );
-
-        for per_segment in [1usize, 13, 256] {
-            let mut session = SynthesisSession::new();
-            for segment in split_by_events(&trace, per_segment) {
-                session.feed_segment(&segment);
-            }
+            let batch = json(&synthesize(&trace));
             prop_assert_eq!(
                 &batch,
-                &json(&session.model()),
-                "streamed model diverged at segment size {} (seed {})",
-                per_segment,
+                &json(&reference_model(&trace)),
+                "session-backed batch diverged from the reference pipeline ({} seed {})",
+                preset,
                 seed
             );
+
+            for per_segment in [1usize, 13, 256] {
+                let mut session = SynthesisSession::new();
+                for (i, segment) in split_by_events(&trace, per_segment).iter().enumerate() {
+                    session.feed_segment(segment);
+                    let via_lists = Dag::from_cblists(&session.callback_lists(), session.names());
+                    prop_assert!(
+                        session.model() == via_lists,
+                        "borrowed model build diverged from the list build after segment {} \
+                         of size {} ({} seed {})",
+                        i,
+                        per_segment,
+                        preset,
+                        seed
+                    );
+                }
+                prop_assert_eq!(
+                    &batch,
+                    &json(&session.model()),
+                    "streamed model diverged at segment size {} ({} seed {})",
+                    per_segment,
+                    preset,
+                    seed
+                );
+            }
         }
     }
 
